@@ -369,3 +369,210 @@ TEST(Controller, MultiRankTraceAuditsClean)
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations[0].message);
 }
+
+// --------------------------------------------------------------------
+// FR-FCFS ordering pins. Each case fixes one tie-break the scheduler's
+// per-bank request index must reproduce exactly: which ready column
+// access wins, which bank gets the next row command, and what the
+// forwarding and refresh-row gates see.
+// --------------------------------------------------------------------
+
+namespace {
+
+/** Commands of @p ctrl's trace issued at or after @p from. */
+std::vector<Command>
+traceFrom(const MemoryController &ctrl, Cycle from)
+{
+    std::vector<Command> out;
+    for (const Command &c : ctrl.trace()) {
+        if (c.cycle >= from)
+            out.push_back(c);
+    }
+    return out;
+}
+
+/** Open @p row in each of @p banks of rank 0, then go idle. */
+Cycle
+openRows(MemoryController &ctrl, const Geometry &geom,
+         const std::vector<BankId> &banks, RowId row)
+{
+    std::uint64_t tag = 1000;
+    for (BankId b : banks)
+        EXPECT_TRUE(ctrl.enqueue(readReq(geom, 0, b, row, 0, tag++)));
+    Cycle now = 1;
+    for (; now < 400; ++now)
+        ctrl.tick(now);
+    EXPECT_EQ(ctrl.stats().readsServed, banks.size());
+    ctrl.completions().clear();
+    return now;
+}
+
+} // namespace
+
+TEST(ControllerOrdering, SameCycleHitsIssueOldestFirst)
+{
+    // Banks 0 and 4 both hold open row 5 and are idle, so hits to both
+    // are ready on the same cycle. The older request (bank 4) must win
+    // even though bank 0 has the lower index.
+    auto cc = makeConfig();
+    MemoryController ctrl(0, cc, std::make_unique<NoRefresh>());
+    Cycle t = openRows(ctrl, cc.geom, {0, 4}, 5);
+    Request older = readReq(cc.geom, 0, 4, 5, 1, 1);
+    Request younger = readReq(cc.geom, 0, 0, 5, 1, 2);
+    older.arrival = younger.arrival = t;
+    ASSERT_TRUE(ctrl.enqueue(older));
+    ASSERT_TRUE(ctrl.enqueue(younger));
+    for (Cycle now = t; now < t + 100; ++now)
+        ctrl.tick(now);
+
+    std::vector<Command> cmds = traceFrom(ctrl, t);
+    ASSERT_EQ(cmds.size(), 2u);
+    EXPECT_EQ(cmds[0].type, CommandType::RD);
+    EXPECT_EQ(cmds[0].bank, 4u);
+    EXPECT_EQ(cmds[0].cycle, t);
+    EXPECT_EQ(cmds[1].type, CommandType::RD);
+    EXPECT_EQ(cmds[1].bank, 0u);
+}
+
+TEST(ControllerOrdering, YoungerHitBeatsOlderMiss)
+{
+    // An older request to a closed bank and an older conflict in the
+    // hit's own bank both lose to a younger hit: column accesses go
+    // first, and the conflict PRE waits until the hit has drained.
+    auto cc = makeConfig();
+    MemoryController ctrl(0, cc, std::make_unique<NoRefresh>());
+    Cycle t = openRows(ctrl, cc.geom, {0}, 5);
+    Request closed_miss = readReq(cc.geom, 0, 1, 7, 0, 1);
+    Request conflict = readReq(cc.geom, 0, 0, 9, 0, 2);
+    Request hit = readReq(cc.geom, 0, 0, 5, 2, 3);
+    closed_miss.arrival = conflict.arrival = hit.arrival = t;
+    ASSERT_TRUE(ctrl.enqueue(closed_miss));
+    ASSERT_TRUE(ctrl.enqueue(conflict));
+    ASSERT_TRUE(ctrl.enqueue(hit));
+    ctrl.tick(t);
+
+    std::vector<Command> cmds = traceFrom(ctrl, t);
+    ASSERT_EQ(cmds.size(), 1u);
+    EXPECT_EQ(cmds[0].type, CommandType::RD);
+    EXPECT_EQ(cmds[0].bank, 0u);
+    EXPECT_EQ(cmds[0].row, 5u);
+
+    for (Cycle now = t + 1; now < t + 400; ++now)
+        ctrl.tick(now);
+    EXPECT_EQ(ctrl.stats().readsServed, 4u); // 1 opener + 3
+    // Bank 0's conflict PRE comes after the hit's RD.
+    bool saw_pre = false;
+    for (const Command &c : traceFrom(ctrl, t)) {
+        if (c.type == CommandType::PRE && c.bank == 0) {
+            EXPECT_GT(c.cycle, t);
+            saw_pre = true;
+        }
+    }
+    EXPECT_TRUE(saw_pre);
+}
+
+TEST(ControllerOrdering, OneRowCommandAttemptPerBankOldestDecides)
+{
+    // Bank 0 holds row 5 with no queued hit. Its oldest request (row 9)
+    // decides the bank's row command: a conflict PRE first, then an ACT
+    // of row 9, never of the younger row 11. Banks are tried in the
+    // order of their oldest request, so while bank 0 waits out tRP the
+    // next ACT goes to bank 2 (older) before bank 1 (lower index).
+    auto cc = makeConfig();
+    MemoryController ctrl(0, cc, std::make_unique<NoRefresh>());
+    Cycle t = openRows(ctrl, cc.geom, {0}, 5);
+    std::vector<Request> reqs = {
+        readReq(cc.geom, 0, 0, 9, 0, 1),
+        readReq(cc.geom, 0, 2, 3, 0, 2),
+        readReq(cc.geom, 0, 0, 11, 0, 3),
+        readReq(cc.geom, 0, 1, 4, 0, 4),
+    };
+    for (Request &r : reqs) {
+        r.arrival = t;
+        ASSERT_TRUE(ctrl.enqueue(r));
+    }
+    for (Cycle now = t; now < t + 600; ++now)
+        ctrl.tick(now);
+    EXPECT_EQ(ctrl.stats().readsServed, 5u);
+
+    std::vector<Command> cmds = traceFrom(ctrl, t);
+    ASSERT_GE(cmds.size(), 3u);
+    EXPECT_EQ(cmds[0].type, CommandType::PRE);
+    EXPECT_EQ(cmds[0].bank, 0u);
+    EXPECT_EQ(cmds[0].cycle, t);
+    EXPECT_EQ(cmds[1].type, CommandType::ACT);
+    EXPECT_EQ(cmds[1].bank, 2u);
+    EXPECT_EQ(cmds[1].cycle, t + 1);
+
+    std::vector<RowId> bank0_acts;
+    Cycle bank1_act = kNeverCycle;
+    for (const Command &c : cmds) {
+        if (c.type == CommandType::ACT && c.bank == 0)
+            bank0_acts.push_back(c.row);
+        if (c.type == CommandType::ACT && c.bank == 1 &&
+            bank1_act == kNeverCycle) {
+            bank1_act = c.cycle;
+        }
+    }
+    ASSERT_EQ(bank0_acts.size(), 2u);
+    EXPECT_EQ(bank0_acts[0], 9u);
+    EXPECT_EQ(bank0_acts[1], 11u);
+    EXPECT_GT(bank1_act, cmds[1].cycle);
+}
+
+TEST(ControllerOrdering, ReadForwardsFromNonHeadWrite)
+{
+    // The matching write sits behind older writes to other banks and
+    // the same bank; the forward must still find it, and a read to a
+    // line no write holds must not be forwarded.
+    auto cc = makeConfig();
+    MemoryController ctrl(0, cc, std::make_unique<NoRefresh>());
+    ASSERT_TRUE(ctrl.enqueue(writeReq(cc.geom, 0, 1, 5, 0, 1)));
+    ASSERT_TRUE(ctrl.enqueue(writeReq(cc.geom, 0, 2, 5, 1, 2)));
+    Request target = writeReq(cc.geom, 0, 2, 5, 3, 3);
+    ASSERT_TRUE(ctrl.enqueue(target));
+    ASSERT_TRUE(ctrl.enqueue(writeReq(cc.geom, 0, 0, 5, 3, 4)));
+
+    Request r = readReq(cc.geom, 0, 2, 5, 3, 10);
+    ASSERT_EQ(r.addr, target.addr);
+    r.arrival = 2;
+    ASSERT_TRUE(ctrl.enqueue(r));
+    ASSERT_EQ(ctrl.completions().size(), 1u);
+    EXPECT_EQ(ctrl.completions()[0].tag, 10u);
+    EXPECT_EQ(ctrl.completions()[0].at, 6u);
+    EXPECT_EQ(ctrl.stats().forwards, 1u);
+
+    Request miss = readReq(cc.geom, 0, 2, 5, 2, 11);
+    ASSERT_TRUE(ctrl.enqueue(miss));
+    EXPECT_EQ(ctrl.completions().size(), 1u);
+    EXPECT_EQ(ctrl.stats().forwards, 1u);
+    EXPECT_EQ(ctrl.queuedReads(), 1u);
+    EXPECT_EQ(ctrl.queuedWrites(), 4u);
+}
+
+TEST(ControllerOrdering, RefreshOpenHitWaitsForAutoPre)
+{
+    // A refresh ACT opens row 5 in bank 0; a queued read to row 5 hits
+    // the open row but must not be served from the refresh row. It
+    // waits for the auto-PRE, then re-activates row 5 and reads.
+    auto cc = makeConfig();
+    MemoryController ctrl(0, cc, std::make_unique<NoRefresh>());
+    ctrl.tick(1);
+    ASSERT_TRUE(ctrl.tryRefreshAct(0, 0, 5, 1));
+    Request r = readReq(cc.geom, 0, 0, 5, 0, 1);
+    r.arrival = 1;
+    ASSERT_TRUE(ctrl.enqueue(r));
+    for (Cycle now = 2; now < 400; ++now)
+        ctrl.tick(now);
+    EXPECT_EQ(ctrl.stats().readsServed, 1u);
+
+    std::vector<Command> cmds = traceFrom(ctrl, 1);
+    ASSERT_EQ(cmds.size(), 4u);
+    EXPECT_EQ(cmds[0].type, CommandType::ACT);
+    EXPECT_EQ(cmds[1].type, CommandType::PRE);
+    EXPECT_EQ(cmds[2].type, CommandType::ACT);
+    EXPECT_EQ(cmds[2].row, 5u);
+    EXPECT_EQ(cmds[3].type, CommandType::RD);
+    TimingCycles tc(cc.tp);
+    EXPECT_GE(cmds[1].cycle, 1 + tc.ras);
+}
