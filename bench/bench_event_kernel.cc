@@ -1,9 +1,9 @@
 /**
  * @file
- * Event-kernel wall-clock benchmark (ROADMAP item 1 success metric):
- * times identical simulations under both simulation-loop engines and
- * both simulation kernels (HIRA_KERNEL axis: generic virtual dispatch
- * vs per-scheme specialized instantiations) on two workload regimes —
+ * Event-kernel wall-clock benchmark: times identical simulations under
+ * both simulation-loop engines and both simulation kernels (HIRA_KERNEL
+ * axis: generic virtual dispatch vs per-scheme specialized
+ * instantiations) on two workload regimes —
  *
  *  - "saturated": 8-core memory-heavy synthetic mixes that keep the
  *    controllers' queues full (the regime where PR 5's kernel only
@@ -120,8 +120,8 @@ main()
     BenchKnobs knobs = BenchKnobs::fromEnv();
     banner("Event-kernel wall-clock: cycle vs event engine, "
            "specialized vs generic kernel",
-           "ROADMAP item 1: >1.5x on saturated 8-core mixes; ROADMAP "
-           "item 2: devirtualized hot path, bitwise-identical results");
+           "event loop >1.5x over the cycle loop on saturated 8-core "
+           "mixes; specialized and generic kernels bitwise-identical");
     knobsLine(knobs);
 
     const int nmixes = std::max(1, knobs.mixes / 2);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Result-cache benchmark (ROADMAP item 3): runs a fig09-style
- * scheme x capacity grid twice against a private cache directory —
+ * Result-cache benchmark: runs a fig09-style scheme x capacity grid
+ * twice against a private cache directory —
  * cold (everything simulates, entries commit) then warm (a fresh
  * runner on the same directory) — and reports the wall-clock and
  * counter evidence that the warm pass simulated NOTHING and

@@ -14,6 +14,7 @@
 #ifndef HIRA_BENCH_BENCH_UTIL_HH
 #define HIRA_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -374,13 +375,24 @@ knobsLine(const BenchKnobs &k)
     detail::capture().haveKnobs = true;
 }
 
+namespace detail {
+
+/** Text-table column width: at least 9, and one more than the name. */
+inline int
+columnWidth(const std::string &name)
+{
+    return std::max(9, static_cast<int>(name.size()) + 1);
+}
+
+} // namespace detail
+
 inline void
 seriesHeader(const std::string &label,
              const std::vector<std::string> &columns)
 {
     std::printf("%-24s", label.c_str());
     for (const std::string &c : columns)
-        std::printf("%9s", c.c_str());
+        std::printf("%*s", detail::columnWidth(c), c.c_str());
     std::printf("\n");
     detail::JsonSection sec;
     sec.label = label;
@@ -388,16 +400,26 @@ seriesHeader(const std::string &label,
     detail::capture().sections.push_back(std::move(sec));
 }
 
-/** Print one row of a fixed-width series table. */
+/**
+ * Print one row of a fixed-width series table: each value formatted
+ * with @p fmt and right-aligned under its seriesHeader() column.
+ */
 inline void
 seriesRow(const std::string &label, const std::vector<double> &values,
           const char *fmt = "%9.3f")
 {
-    std::printf("%-24s", label.c_str());
-    for (double v : values)
-        std::printf(fmt, v);
-    std::printf("\n");
     detail::JsonCapture &cap = detail::capture();
+    const std::vector<std::string> *columns =
+        cap.sections.empty() ? nullptr : &cap.sections.back().columns;
+    std::printf("%-24s", label.c_str());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        std::string cell = strprintf(fmt, values[i]);
+        int width = columns != nullptr && i < columns->size()
+                        ? detail::columnWidth((*columns)[i])
+                        : 9;
+        std::printf("%*s", width, cell.c_str());
+    }
+    std::printf("\n");
     if (cap.sections.empty())
         cap.sections.push_back(detail::JsonSection{});
     cap.sections.back().rows.emplace_back(label, values);

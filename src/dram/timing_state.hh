@@ -61,7 +61,7 @@ struct RankState
     std::array<Cycle, 4> fawRing{kNeverCycle, kNeverCycle, kNeverCycle,
                                  kNeverCycle}; //!< last four ACT cycles
     int fawIdx = 0;                       //!< ring cursor (oldest entry)
-    Cycle rdReadyS = 0, rdReadyL_unused = 0;
+    Cycle rdReadyS = 0;
     std::vector<Cycle> rdReadyL;          //!< tCCD_L per bank group
     Cycle wrReadyS = 0;
     std::vector<Cycle> wrReadyL;
@@ -137,6 +137,34 @@ class ChannelTimingModel
             rebuildResolved();
         return resolvedWr[static_cast<std::size_t>(bankIndex(rank, bank))];
     }
+
+    // The same queries by flat bankIndex(), for scheduler scans that
+    // walk banks by index.
+    RowId openRowAt(std::size_t idx) const { return banks[idx].openRow; }
+    Cycle earliestActAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedAct[idx];
+    }
+    Cycle earliestPreAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedPre[idx];
+    }
+    Cycle earliestRdAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedRd[idx];
+    }
+    Cycle earliestWrAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedWr[idx];
+    }
     /** Earliest all-bank REF for the rank (all banks must be closed). */
     Cycle earliestRef(int rank) const;
     /**
@@ -194,7 +222,7 @@ class ChannelTimingModel
 
     Cycle fawConstraint(const RankState &r, int slots_needed) const;
     void recordAct(int rank, BankId bank, Cycle now);
-    Cycle columnDataStart(int rank, bool is_read, Cycle now) const;
+    Cycle columnDataStart(bool is_read, Cycle now) const;
     void rebuildResolved() const;
 
     Geometry geom;

@@ -13,18 +13,17 @@ MemoryController::MemoryController(int channel_id,
       cfg(config),
       model(config.geom, config.tp),
       refreshScheme(std::move(scheme)),
-      paraSampler(config.para)
+      paraSampler(config.para),
+      readQ(config.readQueueCap,
+            static_cast<std::size_t>(config.geom.banksPerChannel())),
+      writeQ(config.writeQueueCap,
+             static_cast<std::size_t>(config.geom.banksPerChannel())),
+      bankAux(static_cast<std::size_t>(config.geom.banksPerChannel())),
+      refreshOpenMask(bankAux.size())
 {
     hira_assert(refreshScheme != nullptr);
-    bankAux.resize(static_cast<std::size_t>(cfg.geom.ranksPerChannel) *
-                   static_cast<std::size_t>(cfg.geom.banksPerRank()));
     rankHold.assign(static_cast<std::size_t>(cfg.geom.ranksPerChannel),
                     false);
-    nRead.assign(bankAux.size(), 0);
-    nWrite.assign(bankAux.size(), 0);
-    nReadHit.assign(bankAux.size(), 0);
-    nWriteHit.assign(bankAux.size(), 0);
-    bankSeenScratch.assign(bankAux.size(), 0);
     recorder.setEnabled(cfg.recordTrace);
     refreshScheme->attach(this);
 
@@ -37,6 +36,7 @@ MemoryController::MemoryController(int channel_id,
     mRowConflicts = ms.counter("row_conflicts");
     mWakeRecomputes = ms.counter("wake_recomputes");
     mWakeLowers = ms.counter("wake_enqueue_lowers");
+    mScanVisits = ms.counter("scan_visits");
     mReadQDepth = ms.histogram("read_q_depth", 0.0,
                                static_cast<double>(cfg.readQueueCap + 1),
                                16);
@@ -53,14 +53,6 @@ MemoryController::MemoryController(int channel_id,
         }
     }
     refreshScheme->attachMetrics(ms.sub("scheme"));
-}
-
-std::size_t
-MemoryController::bankIndex(int rank, BankId bank) const
-{
-    return static_cast<std::size_t>(rank) *
-               static_cast<std::size_t>(cfg.geom.banksPerRank()) +
-           bank;
 }
 
 MemoryController::BankAux &
@@ -81,12 +73,6 @@ MemoryController::setRankHold(int rank, bool hold)
     rankHold[static_cast<std::size_t>(rank)] = hold;
 }
 
-bool
-MemoryController::rankHeld(int rank) const
-{
-    return rankHold[static_cast<std::size_t>(rank)];
-}
-
 std::vector<Command>
 MemoryController::trace() const
 {
@@ -101,8 +87,8 @@ MemoryController::trace() const
 bool
 MemoryController::bankBlocked(int rank, BankId bank) const
 {
-    const BankAux &a = aux(rank, bank);
-    return a.refreshOpen || !a.preventive.empty();
+    return refreshOpen(bankIndex(rank, bank)) ||
+           !aux(rank, bank).preventive.empty();
 }
 
 std::size_t
@@ -114,15 +100,13 @@ MemoryController::pendingPreventive(int rank, BankId bank) const
 bool
 MemoryController::readQueueFull() const
 {
-    return readQ.size() >=
-           static_cast<std::size_t>(cfg.readQueueCap);
+    return readQ.full();
 }
 
 bool
 MemoryController::writeQueueFull() const
 {
-    return writeQ.size() >=
-           static_cast<std::size_t>(cfg.writeQueueCap);
+    return writeQ.full();
 }
 
 bool
@@ -147,45 +131,37 @@ MemoryController::enqueue(const Request &req)
             wakeListener(seen);
         count(mWakeLowers);
     };
+    const std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+    const bool hit = model.openRow(req.da.rank, req.da.bank) == req.da.row;
     if (req.type == MemType::Read) {
-        // Forward from a queued write to the same line. The forward
-        // serves the read (fixed latency, data from the write queue),
-        // so it counts toward readsServed / readLatencySum like any
-        // other completed read; `forwards` stays as the sub-count.
-        for (const Request &w : writeQ) {
-            if (w.addr == req.addr) {
-                completions_.push_back(
-                    {req.tag, req.coreId, req.arrival + 4});
-                ++stats_.forwards;
-                ++stats_.readsServed;
-                stats_.readLatencySum += 4;
-                lowerWake();
-                return true;
-            }
+        // Forward from a queued write to the same line (a line maps to
+        // one bank, so only that bank's write list can hold it). The
+        // forward serves the read (fixed latency, data from the write
+        // queue), so it counts toward readsServed / readLatencySum like
+        // any other completed read; `forwards` stays as the sub-count.
+        if (writeQ.holdsLine(idx, req.addr)) {
+            completions_.push_back({req.tag, req.coreId, req.arrival + 4});
+            ++stats_.forwards;
+            ++stats_.readsServed;
+            stats_.readLatencySum += 4;
+            lowerWake();
+            return true;
         }
-        if (readQueueFull()) {
+        if (readQ.full()) {
             ++stats_.rejectedRequests;
             return false;
         }
-        readQ.push_back(req);
-        std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+        readQ.push(req, idx, hit);
         count(mBankReads[idx]);
-        ++nRead[idx];
-        if (model.openRow(req.da.rank, req.da.bank) == req.da.row)
-            ++nReadHit[idx];
         lowerWake();
         return true;
     }
-    if (writeQueueFull()) {
+    if (writeQ.full()) {
         ++stats_.rejectedRequests;
         return false;
     }
-    writeQ.push_back(req);
-    std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+    writeQ.push(req, idx, hit);
     count(mBankWrites[idx]);
-    ++nWrite[idx];
-    if (model.openRow(req.da.rank, req.da.bank) == req.da.row)
-        ++nWriteHit[idx];
     lowerWake();
     return true;
 }
@@ -195,23 +171,8 @@ MemoryController::recountHits(int rank, BankId bank)
 {
     std::size_t idx = bankIndex(rank, bank);
     RowId open = model.openRow(rank, bank);
-    std::uint16_t nr = 0, nw = 0;
-    if (open != kNoRow) {
-        for (const Request &r : readQ) {
-            if (r.da.rank == rank && r.da.bank == bank &&
-                r.da.row == open) {
-                ++nr;
-            }
-        }
-        for (const Request &r : writeQ) {
-            if (r.da.rank == rank && r.da.bank == bank &&
-                r.da.row == open) {
-                ++nw;
-            }
-        }
-    }
-    nReadHit[idx] = nr;
-    nWriteHit[idx] = nw;
+    readQ.setOpenRow(idx, open);
+    writeQ.setOpenRow(idx, open);
 }
 
 void
@@ -232,10 +193,9 @@ MemoryController::record(CommandType type, Cycle cycle, int rank,
 }
 
 void
-MemoryController::markIssued(Cycle now)
+MemoryController::markIssued()
 {
     hira_assert(!issuedThisCycle);
-    (void)now;
     issuedThisCycle = true;
 }
 
@@ -277,7 +237,7 @@ MemoryController::tryRef(int rank, Cycle now)
         return false;
     model.issueRef(rank, now);
     record(CommandType::REF, now, rank, 0, 0);
-    markIssued(now);
+    markIssued();
     ++stats_.refs;
     return true;
 }
@@ -306,13 +266,13 @@ MemoryController::tryPre(int rank, BankId bank, Cycle now)
     }
     model.issuePre(rank, bank, now);
     record(CommandType::PRE, now, rank, bank, 0);
-    markIssued(now);
+    markIssued();
     ++stats_.pres;
-    aux(rank, bank).refreshOpen = false;
+    setRefreshOpen(rank, bank, false);
     // Row closed: nothing hits it any more (recountHits shortcut).
     std::size_t idx = bankIndex(rank, bank);
-    nReadHit[idx] = 0;
-    nWriteHit[idx] = 0;
+    readQ.setOpenRow(idx, kNoRow);
+    writeQ.setOpenRow(idx, kNoRow);
     return true;
 }
 
@@ -347,9 +307,9 @@ MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
     record(CommandType::ACT, second_at, rank, bank, second,
            HiraRole::SecondAct);
     reserveHiraSlots(now);
-    markIssued(now);
+    markIssued();
     ++stats_.hiraOps;
-    aux(rank, bank).refreshOpen = true; // auto-PRE after the second tRAS
+    setRefreshOpen(rank, bank, true); // auto-PRE after the second tRAS
     recountHits(rank, bank); // bank now open with `second`
     onRowActivationAs<RefreshScheme>(rank, bank, first, now);
     onRowActivationAs<RefreshScheme>(rank, bank, second, second_at);
@@ -373,11 +333,15 @@ MemoryController::autoPreTick(Cycle now)
 {
     if (!busFree(now))
         return;
-    for (int rank = 0; rank < cfg.geom.ranksPerChannel; ++rank) {
-        for (BankId b = 0;
-             b < static_cast<BankId>(cfg.geom.banksPerRank()); ++b) {
-            BankAux &a = aux(rank, b);
-            if (a.refreshOpen && model.openRow(rank, b) != kNoRow &&
+    // Lowest refresh-open bank (rank-major order) whose PRE is legal.
+    const int bpr = cfg.geom.banksPerRank();
+    for (std::size_t w = 0; w < refreshOpenMask.words(); ++w) {
+        for (std::uint64_t bits = refreshOpenMask.word(w); bits != 0;
+             bits &= bits - 1) {
+            int idx = static_cast<int>(w * 64) + __builtin_ctzll(bits);
+            int rank = idx / bpr;
+            BankId b = static_cast<BankId>(idx % bpr);
+            if (model.openRow(rank, b) != kNoRow &&
                 model.earliestPre(rank, b) <= now) {
                 tryPre(rank, b, now);
                 return;
@@ -393,46 +357,60 @@ MemoryController::nextEvent() const
 }
 
 bool
-MemoryController::issueColumnIfReady(std::deque<Request> &queue,
-                                     bool is_read, Cycle now)
+MemoryController::issueColumnIfReady(RequestQueue &queue, bool is_read,
+                                     Cycle now)
 {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const Request &req = queue[i];
-        int rank = req.da.rank;
-        BankId bank = req.da.bank;
-        if (aux(rank, bank).refreshOpen)
-            continue;
-        if (model.openRow(rank, bank) != req.da.row)
-            continue;
-        if (is_read) {
-            if (model.earliestRd(rank, bank) > now)
+    // FR-FCFS column pick: the oldest queued request that hits its
+    // bank's open row, on a bank that is not refresh-open and is ready
+    // for the column command. Only hit-mask banks can hold one, each
+    // bank's candidate is its oldest hit, and the smallest sequence
+    // number among the ready banks' candidates is the request a
+    // front-to-back queue scan would serve.
+    int bestSlot = RequestQueue::kNone;
+    std::size_t bestIdx = 0;
+    std::uint64_t bestSeq = ~std::uint64_t{0};
+    std::uint64_t visits = 0;
+    const BankMask &hits = queue.hitMask();
+    for (std::size_t w = 0; w < hits.words(); ++w) {
+        for (std::uint64_t bits = hits.word(w) & ~refreshOpenMask.word(w);
+             bits != 0; bits &= bits - 1) {
+            const std::size_t idx =
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+            ++visits;
+            if ((is_read ? model.earliestRdAt(idx)
+                         : model.earliestWrAt(idx)) > now) {
                 continue;
-            Cycle done = model.issueRd(rank, bank, now);
-            record(CommandType::RD, now, rank, bank, req.da.row);
-            completions_.push_back({req.tag, req.coreId, done});
-            stats_.readLatencySum += done - req.arrival;
-            ++stats_.readsServed;
-        } else {
-            if (model.earliestWr(rank, bank) > now)
-                continue;
-            model.issueWr(rank, bank, now);
-            record(CommandType::WR, now, rank, bank, req.da.row);
-            ++stats_.writesServed;
+            }
+            const int s = queue.oldestHit(idx);
+            if (queue.seq(s) < bestSeq) {
+                bestSlot = s;
+                bestIdx = idx;
+                bestSeq = queue.seq(s);
+            }
         }
-        markIssued(now);
-        count(mRowHits);
-        std::size_t idx = bankIndex(rank, bank);
-        if (is_read) {
-            --nRead[idx];
-            --nReadHit[idx]; // the issued request hit the open row
-        } else {
-            --nWrite[idx];
-            --nWriteHit[idx];
-        }
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
     }
-    return false;
+    count(mScanVisits, visits);
+    if (bestSlot == RequestQueue::kNone)
+        return false;
+
+    const Request &req = queue.at(bestSlot);
+    const int rank = req.da.rank;
+    const BankId bank = req.da.bank;
+    if (is_read) {
+        Cycle done = model.issueRd(rank, bank, now);
+        record(CommandType::RD, now, rank, bank, req.da.row);
+        completions_.push_back({req.tag, req.coreId, done});
+        stats_.readLatencySum += done - req.arrival;
+        ++stats_.readsServed;
+    } else {
+        model.issueWr(rank, bank, now);
+        record(CommandType::WR, now, rank, bank, req.da.row);
+        ++stats_.writesServed;
+    }
+    markIssued();
+    count(mRowHits);
+    queue.eraseOldestHit(bestIdx);
+    return true;
 }
 
 } // namespace hira

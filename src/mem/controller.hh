@@ -11,6 +11,29 @@
  * as the activated row's bank is free) or delegated to the scheme's
  * PreventiveRC.
  *
+ * Demand scheduling. Each queue is a RequestQueue
+ * (mem/request_queue.hh): a fixed pool of request slots threaded into
+ * one arrival-order list per bank, every slot stamped with an arrival
+ * sequence number, plus per-bank queued / open-row-hit counts, each
+ * bank's oldest hit, and bitmasks of banks with work and with a queued
+ * hit. Refresh-open banks have a bitmask of their own. A scheduling
+ * cycle is one FR-FCFS step over the active queue, and both of its
+ * passes pick by sequence number, which reproduces the tie-breaks of a
+ * front-to-back queue scan exactly:
+ *
+ *  - Column pick: visit hit-mask banks that are not refresh-open, skip
+ *    those whose RD/WR timing is still in the future, and serve the
+ *    ready bank's oldest hit with the smallest sequence number.
+ *  - Row-command pass: a bank's oldest request decides its command,
+ *    one attempt per bank: a demand ACT if the bank is closed, a
+ *    conflict PRE if its open row has no queued hit. Masks drop the
+ *    banks that can take neither (refresh-open, or an open row with
+ *    hits); of the rest, the bank whose command can issue now and whose
+ *    oldest request is oldest wins.
+ *
+ * Both cost O(banks with work), not O(queue). Row transitions recount
+ * the affected bank's hits from its two lists (recountHits).
+ *
  * The HiRA operation is issued atomically: the controller reserves the
  * two future command-bus slots for the inner PRE and second ACT, applies
  * the timing effects through ChannelTimingModel::issueHira, and logs all
@@ -31,6 +54,7 @@
 #include "mem/para.hh"
 #include "mem/refresh.hh"
 #include "mem/request.hh"
+#include "mem/request_queue.hh"
 
 namespace hira {
 
@@ -155,6 +179,9 @@ class MemoryController
     bool writeQueueFull() const;
     std::size_t queuedReads() const { return readQ.size(); }
     std::size_t queuedWrites() const { return writeQ.size(); }
+    /** The demand queues with their per-bank index (read-only). */
+    const RequestQueue &readQueue() const { return readQ; }
+    const RequestQueue &writeQueue() const { return writeQ; }
 
     // ----- primitives for refresh schemes ------------------------------
 
@@ -209,7 +236,10 @@ class MemoryController
      * must drain to all-banks-precharged before a REF can issue).
      */
     void setRankHold(int rank, bool hold);
-    bool rankHeld(int rank) const;
+    bool rankHeld(int rank) const
+    {
+        return rankHold[static_cast<std::size_t>(rank)];
+    }
 
     /** Pending preventive refreshes on the bank (immediate PARA). */
     std::size_t pendingPreventive(int rank, BankId bank) const;
@@ -217,22 +247,35 @@ class MemoryController
   private:
     struct BankAux
     {
-        bool refreshOpen = false;      //!< refresh row open, PRE pending
         std::deque<RowId> preventive;  //!< immediate-PARA victims
     };
 
-    std::size_t bankIndex(int rank, BankId bank) const;
+    std::size_t bankIndex(int rank, BankId bank) const
+    {
+        return static_cast<std::size_t>(rank) *
+                   static_cast<std::size_t>(cfg.geom.banksPerRank()) +
+               bank;
+    }
+
+    /** Refresh row open in bank @p idx, auto-PRE pending. */
+    bool refreshOpen(std::size_t idx) const
+    {
+        return refreshOpenMask.test(idx);
+    }
+    void setRefreshOpen(int rank, BankId bank, bool open)
+    {
+        refreshOpenMask.set(bankIndex(rank, bank), open);
+    }
     BankAux &aux(int rank, BankId bank);
     const BankAux &aux(int rank, BankId bank) const;
 
     void record(CommandType type, Cycle cycle, int rank, BankId bank,
                 RowId row, HiraRole role = HiraRole::None);
-    void markIssued(Cycle now);
+    void markIssued();
     bool slotReservedAt(Cycle c) const;
     void reserveHiraSlots(Cycle now);
     void autoPreTick(Cycle now);
-    bool issueColumnIfReady(std::deque<Request> &queue, bool is_read,
-                            Cycle now);
+    bool issueColumnIfReady(RequestQueue &queue, bool is_read, Cycle now);
 
     // The scheme-touching hot path, templated over the scheme type
     // (bodies in mem/controller_kernel.hh). The non-template entry
@@ -245,26 +288,27 @@ class MemoryController
     template <class S> void preventiveTickAs(Cycle now);
     template <class S> void scheduleDemandAs(Cycle now);
     template <class S>
-    bool issueRowCommandAs(std::deque<Request> &queue, Cycle now);
-    template <class S> bool tryDemandActAs(const Request &req, Cycle now);
+    void issueRowCommandAs(RequestQueue &queue, Cycle now);
+    /** Demand ACT (or HiRA) for @p req; the caller checked the gates. */
+    template <class S> void issueDemandActAs(const Request &req, Cycle now);
     template <class S>
     bool tryRefreshActAs(int rank, BankId bank, RowId row, Cycle now);
 
-    /** Rebuild the bank's open-row-hit counts from the queues. */
+    /** Recount the bank's open-row hits from its two request lists. */
     void recountHits(int rank, BankId bank);
 
     /**
      * True if the bank's open row has a queued hit the scheduler still
      * honors: readQ hits always, writeQ hits only in write-drain mode
      * (mirroring which queues FR-FCFS serves). Gates conflict PREs in
-     * issueRowCommand and preventive closes in preventiveTick, and the
-     * wake scan replays exactly this predicate so the event engine
-     * defers the same PREs dense would.
+     * issueRowCommandAs (as a hit-mask filter) and preventive closes in
+     * preventiveTick, and the wake scan replays exactly this predicate
+     * so the event engine defers the same PREs dense would.
      */
     bool bankHasOpenRowHit(std::size_t idx) const
     {
-        return nReadHit[idx] != 0 ||
-               (writeMode && nWriteHit[idx] != 0);
+        return readQ.hits(idx) != 0 ||
+               (writeMode && writeQ.hits(idx) != 0);
     }
 
     int channel;
@@ -273,9 +317,17 @@ class MemoryController
     std::unique_ptr<RefreshScheme> refreshScheme;
     ParaSampler paraSampler;
 
-    std::deque<Request> readQ, writeQ;
+    // Demand queues, per-bank index in bankIndex() order. The scheduler
+    // passes, the row-hit gates and the wake scan read the per-bank
+    // counts and masks, so they run over banks, not queue entries. The
+    // index changes O(1) on enqueue and column issue; row transitions
+    // recount one bank (recountHits) or clear it (tryPre).
+    RequestQueue readQ, writeQ;
     std::vector<Completion> completions_;
     std::vector<BankAux> bankAux;
+    // Banks holding a refresh row until its auto-PRE: demand and
+    // preventive work skip them.
+    BankMask refreshOpenMask;
     std::vector<Cycle> reservedSlots; //!< future HiRA PRE/ACT bus slots
 
     std::vector<bool> rankHold;
@@ -290,17 +342,6 @@ class MemoryController
     mutable Cycle nextWake = 0;
     mutable bool nextWakeValid = false;
     std::function<void(Cycle)> wakeListener;
-    // Per-bank queued-request index, flat bankIndex() order: how many
-    // reads / writes target each bank, and how many of those hit the
-    // bank's currently open row. Maintained incrementally — enqueue and
-    // column issue adjust the target bank O(1), row transitions recount
-    // one bank (recountHits / tryPre) — so the wake scan and the
-    // scheduler's row-hit gates run over banks, not queue entries.
-    std::vector<std::uint16_t> nRead, nWrite, nReadHit, nWriteHit;
-    // issueRowCommand() scratch: per-bank attempted marks (one row-
-    // command attempt per bank per call, oldest request wins).
-    std::vector<std::uint8_t> bankSeenScratch;
-
     ControllerStats stats_;
     CommandTraceRecorder recorder;
 
@@ -319,6 +360,7 @@ class MemoryController
     Counter *mRowConflicts = nullptr;
     mutable Counter *mWakeRecomputes = nullptr;
     Counter *mWakeLowers = nullptr;
+    Counter *mScanVisits = nullptr;
     HistogramMetric *mReadQDepth = nullptr;
     HistogramMetric *mWriteQDepth = nullptr;
 };

@@ -212,8 +212,8 @@ MemoryController::tryRefreshActAs(int rank, BankId bank, RowId row,
     }
     model.issueAct(rank, bank, row, now);
     record(CommandType::ACT, now, rank, bank, row);
-    markIssued(now);
-    aux(rank, bank).refreshOpen = true;
+    markIssued();
+    setRefreshOpen(rank, bank, true);
     recountHits(rank, bank); // a refresh row can match queued requests
     onRowActivationAs<S>(rank, bank, row, now);
     return true;
@@ -230,9 +230,11 @@ MemoryController::preventiveTickAs(Cycle now)
         int idx = (preventiveCursor + i) % nbanks;
         int rank = idx / cfg.geom.banksPerRank();
         BankId bank = static_cast<BankId>(idx % cfg.geom.banksPerRank());
-        BankAux &a = aux(rank, bank);
-        if (a.preventive.empty() || a.refreshOpen)
+        BankAux &a = bankAux[static_cast<std::size_t>(idx)];
+        if (a.preventive.empty() ||
+            refreshOpen(static_cast<std::size_t>(idx))) {
             continue;
+        }
         if (model.openRow(rank, bank) == kNoRow) {
             // Pop the victim only once the refresh ACT actually issued:
             // tryRefreshAct re-checks the rank hold, bank state, and
@@ -258,14 +260,11 @@ MemoryController::preventiveTickAs(Cycle now)
 }
 
 template <class S>
-bool
-MemoryController::tryDemandActAs(const Request &req, Cycle now)
+void
+MemoryController::issueDemandActAs(const Request &req, Cycle now)
 {
     int rank = req.da.rank;
     BankId bank = req.da.bank;
-    if (rankHeld(rank) || model.earliestAct(rank, bank) > now)
-        return false;
-
     // Case-1 hook (Fig. 8): give the refresh scheme the chance to hide a
     // refresh under this activation with a HiRA operation.
     RowId hidden = SchemeOps<S>::pickHiddenRefresh(*refreshScheme, rank,
@@ -284,7 +283,7 @@ MemoryController::tryDemandActAs(const Request &req, Cycle now)
             record(CommandType::ACT, second_at, rank, bank, req.da.row,
                    HiraRole::SecondAct);
             reserveHiraSlots(now);
-            markIssued(now);
+            markIssued();
             ++stats_.hiraOps;
             count(mRowMisses); // the demand ACT rode a closed bank
             recountHits(rank, bank); // bank now open with req's row
@@ -292,51 +291,73 @@ MemoryController::tryDemandActAs(const Request &req, Cycle now)
                                        now);
             onRowActivationAs<S>(rank, bank, hidden, now);
             onRowActivationAs<S>(rank, bank, req.da.row, second_at);
-            return true;
+            return;
         }
     }
 
     model.issueAct(rank, bank, req.da.row, now);
     record(CommandType::ACT, now, rank, bank, req.da.row);
-    markIssued(now);
+    markIssued();
     count(mRowMisses);
     recountHits(rank, bank);
     onRowActivationAs<S>(rank, bank, req.da.row, now);
-    return true;
 }
 
 template <class S>
-bool
-MemoryController::issueRowCommandAs(std::deque<Request> &queue, Cycle now)
+void
+MemoryController::issueRowCommandAs(RequestQueue &queue, Cycle now)
 {
-    // Oldest-first, one attempt per bank.
-    std::fill(bankSeenScratch.begin(), bankSeenScratch.end(), 0);
-    for (const Request &req : queue) {
-        int rank = req.da.rank;
-        BankId bank = req.da.bank;
-        std::size_t idx = bankIndex(rank, bank);
-        if (bankSeenScratch[idx] != 0)
-            continue;
-        bankSeenScratch[idx] = 1;
-        if (bankBlocked(rank, bank))
-            continue;
-        RowId open = model.openRow(rank, bank);
-        if (open == req.da.row)
-            continue; // row hit waiting on CAS timing
-        if (open == kNoRow) {
-            if (tryDemandActAs<S>(req, now))
-                return true;
-            continue;
-        }
-        // Conflict: close the row once its queued hits have drained.
-        if (bankHasOpenRowHit(idx))
-            continue;
-        if (model.earliestPre(rank, bank) <= now) {
-            count(mRowConflicts);
-            return tryPre(rank, bank, now);
+    // Oldest-first, one attempt per bank: each bank's oldest queued
+    // request decides its row command, and the bank whose deciding
+    // request is oldest among those whose command can issue now wins.
+    // Banks that cannot take a row command drop out by mask: refresh-
+    // open banks, and open banks with a queued hit (their head is a hit
+    // waiting on CAS timing, or the hits drain before a conflict PRE).
+    // Only closed banks and hit-free conflict banks are visited.
+    const BankMask &work = queue.workMask();
+    const BankMask &readHits = readQ.hitMask();
+    const BankMask &writeHits = writeQ.hitMask();
+    int bestSlot = RequestQueue::kNone;
+    std::uint64_t bestSeq = ~std::uint64_t{0};
+    bool bestClosed = false;
+    std::uint64_t visits = 0;
+    for (std::size_t w = 0; w < work.words(); ++w) {
+        std::uint64_t bits = work.word(w) & ~refreshOpenMask.word(w) &
+                             ~readHits.word(w);
+        if (writeMode)
+            bits &= ~writeHits.word(w);
+        for (; bits != 0; bits &= bits - 1) {
+            const std::size_t idx =
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+            ++visits;
+            if (!bankAux[idx].preventive.empty())
+                continue; // bankBlocked
+            const bool closed = model.openRowAt(idx) == kNoRow;
+            if ((closed ? model.earliestActAt(idx)
+                        : model.earliestPreAt(idx)) > now) {
+                continue;
+            }
+            const int s = queue.head(idx);
+            if (queue.seq(s) >= bestSeq ||
+                (closed && rankHeld(queue.at(s).da.rank))) {
+                continue;
+            }
+            bestSlot = s;
+            bestSeq = queue.seq(s);
+            bestClosed = closed;
         }
     }
-    return false;
+    count(mScanVisits, visits);
+    if (bestSlot == RequestQueue::kNone)
+        return;
+    const Request &req = queue.at(bestSlot);
+    if (bestClosed) {
+        issueDemandActAs<S>(req, now);
+    } else {
+        // Conflict: the open row's queued hits have drained.
+        count(mRowConflicts);
+        tryPre(req.da.rank, req.da.bank, now);
+    }
 }
 
 template <class S>
@@ -360,7 +381,7 @@ MemoryController::scheduleDemandAs(Cycle now)
     if (writeMode && writeQ.empty())
         writeMode = false;
 
-    std::deque<Request> &active = writeMode ? writeQ : readQ;
+    RequestQueue &active = writeMode ? writeQ : readQ;
     if (active.empty())
         return;
 
@@ -459,17 +480,18 @@ MemoryController::computeNextEventAs(Cycle now) const
         return wake <= floor;
     };
 
-    // One sweep over the per-bank request index (nRead / nWrite /
-    // n*Hit), no queue walk at all. Only the active queue can schedule
-    // before the next mode flip, and flips always land on ticks the
-    // wake list covers (the hysteresis check above plus enqueue's wake
-    // lowering), so the inactive class contributes no horizon. The
-    // conflict-PRE and preventive-close entries replay issueRowCommand
-    // / preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
-    // defers while the open row has queued hits is not considered,
-    // because the hit counts only change at covered ticks (hit issues,
-    // hit arrivals through enqueue, row transitions through commands),
-    // after which this recompute runs again.
+    // One sweep over the per-bank request index (queued / hit counts of
+    // both RequestQueues), no queue walk at all. Only the active queue
+    // can schedule before the next mode flip, and flips always land on
+    // ticks the wake list covers (the hysteresis check above plus
+    // enqueue's wake lowering), so the inactive class contributes no
+    // horizon. The conflict-PRE and preventive-close entries replay
+    // issueRowCommandAs / preventiveTick's row-hit gate
+    // (bankHasOpenRowHit): a PRE dense defers while the open row has
+    // queued hits is not considered, because the hit counts only change
+    // at covered ticks (hit issues, hit arrivals through enqueue, row
+    // transitions through commands), after which this recompute runs
+    // again.
     const int bpr = cfg.geom.banksPerRank();
     for (int rank = 0; rank < cfg.geom.ranksPerChannel; ++rank) {
         // Held ranks: the holding scheme's horizon polls densely while
@@ -478,7 +500,7 @@ MemoryController::computeNextEventAs(Cycle now) const
         for (BankId b = 0; b < static_cast<BankId>(bpr); ++b) {
             std::size_t idx = bankIndex(rank, b);
             const BankAux &a = bankAux[idx];
-            if (a.refreshOpen) {
+            if (refreshOpen(idx)) {
                 // Demand and preventive work is withheld; the bank's
                 // only event is the auto-PRE of the refresh row.
                 if (model.openRow(rank, b) != kNoRow &&
@@ -487,8 +509,9 @@ MemoryController::computeNextEventAs(Cycle now) const
                 }
                 continue;
             }
-            std::uint16_t nq = writeMode ? nWrite[idx] : nRead[idx];
-            std::uint16_t nh = writeMode ? nWriteHit[idx] : nReadHit[idx];
+            const RequestQueue &q = writeMode ? writeQ : readQ;
+            std::uint16_t nq = q.queued(idx);
+            std::uint16_t nh = q.hits(idx);
             bool preventivePending = !a.preventive.empty();
             if (nq == 0 && !preventivePending)
                 continue;

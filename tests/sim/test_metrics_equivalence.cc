@@ -252,6 +252,46 @@ TEST(MetricsEquivalence, SnapshotMirrorsMatchStats)
     EXPECT_EQ(snap.values.count("ctrl0.scheme.pr_fifo_depth"), 1u);
 }
 
+TEST(MetricsEquivalence, ScanVisitsIsDeterministicAndNonPerturbing)
+{
+    // The scheduler work counter is a Counters-level metric: counting
+    // banks visited by the column pick and the row-command pass must
+    // not change a single scheduling decision, and the count itself is
+    // a pure function of the simulation and the engine (the cycle loop
+    // schedules on every cycle, the event loop only on wake cycles, so
+    // it does no more work).
+    for (SchemeKind kind : {SchemeKind::Baseline, SchemeKind::HiraMc}) {
+        SchemeSpec spec;
+        spec.kind = kind;
+        spec.slackN = 2;
+        SystemConfig cfg = makeConfig(spec);
+        const std::string label = kind == SchemeKind::HiraMc ? "hira-2"
+                                                             : "baseline";
+        SystemResult off =
+            runAtLevel(cfg, MetricsLevel::Off, SimEngine::EventLoop);
+        std::uint64_t perEngine[2] = {0, 0};
+        for (SimEngine engine :
+             {SimEngine::EventLoop, SimEngine::CycleLoop}) {
+            std::uint64_t &visits =
+                perEngine[engine == SimEngine::CycleLoop ? 1 : 0];
+            for (MetricsLevel level :
+                 {MetricsLevel::Counters, MetricsLevel::Full,
+                  MetricsLevel::Counters}) {
+                MetricsSnapshot snap;
+                SystemResult on = runAtLevel(cfg, level, engine, &snap);
+                expectIdentical(off, on, label + " scan_visits on/off");
+                ASSERT_EQ(snap.values.count("ctrl0.scan_visits"), 1u);
+                std::uint64_t v = snap.values.at("ctrl0.scan_visits").count;
+                EXPECT_GT(v, 0u) << label;
+                if (visits == 0)
+                    visits = v;
+                EXPECT_EQ(v, visits) << label;
+            }
+        }
+        EXPECT_LE(perEngine[0], perEngine[1]) << label;
+    }
+}
+
 TEST(MetricsEquivalence, OffSnapshotIsEmpty)
 {
     SchemeSpec base;
