@@ -85,23 +85,9 @@ class ChannelTimingModel
     // The earliest-command queries read struct-of-arrays horizons
     // (resolvedAct/Pre/Rd/Wr below, flat-indexed by bankIndex) that are
     // rebuilt in one pass over all banks the first time a query runs
-    // after a mutation. The controller's scheduling loops query every
-    // queued request per wake, so one batch rebuild per issued command
-    // replaces hundreds of per-query max-chains.
-
-    // Inline: every scheduler scan reads the open row once per queued
-    // request, so this is the single most-called query in the model.
-    RowId
-    openRow(int rank, BankId bank) const
-    {
-        return banks[static_cast<std::size_t>(bankIndex(rank, bank))]
-            .openRow;
-    }
-    bool
-    bankClosed(int rank, BankId bank) const
-    {
-        return openRow(rank, bank) == kNoRow;
-    }
+    // after a mutation. The controller's scheduling passes query every
+    // bank with work per wake, so one batch rebuild per issued command
+    // replaces dozens of per-query max-chains.
 
     /** Flat horizon-array index of (rank, bank). */
     int bankIndex(int rank, BankId bank) const
@@ -109,61 +95,64 @@ class ChannelTimingModel
         return rank * geom.banksPerRank() + static_cast<int>(bank);
     }
 
-    /** Earliest cycle an ACT to (rank, bank) may issue. */
-    Cycle earliestAct(int rank, BankId bank) const
+    // Each query comes in two forms: by (rank, bank), and by flat
+    // bankIndex() (`...At`) for scheduler scans that walk banks by index.
+
+    RowId openRowAt(std::size_t idx) const { return banks[idx].openRow; }
+    RowId
+    openRow(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedAct[static_cast<std::size_t>(bankIndex(rank, bank))];
+        return openRowAt(static_cast<std::size_t>(bankIndex(rank, bank)));
     }
-    /** Earliest cycle a PRE to (rank, bank) may issue. */
-    Cycle earliestPre(int rank, BankId bank) const
+    bool
+    bankClosed(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedPre[static_cast<std::size_t>(bankIndex(rank, bank))];
-    }
-    /** Earliest RD issue cycle (bank must be open; data bus checked). */
-    Cycle earliestRd(int rank, BankId bank) const
-    {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedRd[static_cast<std::size_t>(bankIndex(rank, bank))];
-    }
-    /** Earliest WR issue cycle. */
-    Cycle earliestWr(int rank, BankId bank) const
-    {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedWr[static_cast<std::size_t>(bankIndex(rank, bank))];
+        return openRow(rank, bank) == kNoRow;
     }
 
-    // The same queries by flat bankIndex(), for scheduler scans that
-    // walk banks by index.
-    RowId openRowAt(std::size_t idx) const { return banks[idx].openRow; }
+    /** Earliest cycle an ACT to the bank may issue. */
     Cycle earliestActAt(std::size_t idx) const
     {
         if (resolvedDirty)
             rebuildResolved();
         return resolvedAct[idx];
     }
+    Cycle earliestAct(int rank, BankId bank) const
+    {
+        return earliestActAt(static_cast<std::size_t>(bankIndex(rank, bank)));
+    }
+    /** Earliest cycle a PRE to the bank may issue. */
     Cycle earliestPreAt(std::size_t idx) const
     {
         if (resolvedDirty)
             rebuildResolved();
         return resolvedPre[idx];
     }
+    Cycle earliestPre(int rank, BankId bank) const
+    {
+        return earliestPreAt(static_cast<std::size_t>(bankIndex(rank, bank)));
+    }
+    /** Earliest RD issue cycle (bank must be open; data bus checked). */
     Cycle earliestRdAt(std::size_t idx) const
     {
         if (resolvedDirty)
             rebuildResolved();
         return resolvedRd[idx];
     }
+    Cycle earliestRd(int rank, BankId bank) const
+    {
+        return earliestRdAt(static_cast<std::size_t>(bankIndex(rank, bank)));
+    }
+    /** Earliest WR issue cycle. */
     Cycle earliestWrAt(std::size_t idx) const
     {
         if (resolvedDirty)
             rebuildResolved();
         return resolvedWr[idx];
+    }
+    Cycle earliestWr(int rank, BankId bank) const
+    {
+        return earliestWrAt(static_cast<std::size_t>(bankIndex(rank, bank)));
     }
     /** Earliest all-bank REF for the rank (all banks must be closed). */
     Cycle earliestRef(int rank) const;
