@@ -492,6 +492,7 @@ MemoryController::computeNextEventAs(Cycle now) const
     // at covered ticks (hit issues, hit arrivals through enqueue, row
     // transitions through commands), after which this recompute runs
     // again.
+    const RequestQueue &active = writeMode ? writeQ : readQ;
     const int bpr = cfg.geom.banksPerRank();
     for (int rank = 0; rank < cfg.geom.ranksPerChannel; ++rank) {
         // Held ranks: the holding scheme's horizon polls densely while
@@ -509,9 +510,8 @@ MemoryController::computeNextEventAs(Cycle now) const
                 }
                 continue;
             }
-            const RequestQueue &q = writeMode ? writeQ : readQ;
-            std::uint16_t nq = q.queued(idx);
-            std::uint16_t nh = q.hits(idx);
+            std::uint16_t nq = active.queued(idx);
+            std::uint16_t nh = active.hits(idx);
             bool preventivePending = !a.preventive.empty();
             if (nq == 0 && !preventivePending)
                 continue;
