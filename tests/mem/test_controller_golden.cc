@@ -13,9 +13,9 @@
  * the request pool.
  *
  * Several mixed streams end in a write-drain stall: in drain mode a
- * write whose bank holds queued read hits on another open row is never
- * precharged for, and without refresh to close the bank nothing frees
- * it. The hashes pin that behavior along with the rest.
+ * write to another row of a bank whose open row has queued read hits
+ * is never precharged for, and without refresh to close the bank
+ * nothing frees it. The hashes pin that behavior along with the rest.
  */
 
 #include <gtest/gtest.h>
@@ -189,12 +189,6 @@ checkIndex(const MemoryController &ctrl)
     checkQueue(ctrl, ctrl.writeQueue(), "writeQ");
 }
 
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    return hashCombine(h, v);
-}
-
 /** Arrival pattern of a golden stream. */
 enum class Stream
 {
@@ -252,18 +246,19 @@ runGolden(Setup s, int ranks, Stream stream)
         if (::testing::Test::HasFatalFailure())
             return 0;
         for (const Completion &c : ctrl.completions()) {
-            h = mix(mix(mix(h, c.tag), static_cast<std::uint64_t>(c.coreId)),
-                    c.at);
+            h = hashCombine(h, c.tag);
+            h = hashCombine(h, static_cast<std::uint64_t>(c.coreId));
+            h = hashCombine(h, c.at);
         }
         ctrl.completions().clear();
     }
     for (const Command &c : ctrl.trace()) {
-        h = mix(h, static_cast<std::uint64_t>(c.type));
-        h = mix(h, c.cycle);
-        h = mix(h, static_cast<std::uint64_t>(c.rank));
-        h = mix(h, c.bank);
-        h = mix(h, c.row);
-        h = mix(h, static_cast<std::uint64_t>(c.hiraRole));
+        h = hashCombine(h, static_cast<std::uint64_t>(c.type));
+        h = hashCombine(h, c.cycle);
+        h = hashCombine(h, static_cast<std::uint64_t>(c.rank));
+        h = hashCombine(h, c.bank);
+        h = hashCombine(h, c.row);
+        h = hashCombine(h, static_cast<std::uint64_t>(c.hiraRole));
     }
     const ControllerStats &st = ctrl.stats();
     for (std::uint64_t v :
@@ -271,7 +266,7 @@ runGolden(Setup s, int ranks, Stream stream)
           st.acts, st.pres, st.refs, st.hiraOps, st.rejectedRequests,
           static_cast<std::uint64_t>(ctrl.queuedReads()),
           static_cast<std::uint64_t>(ctrl.queuedWrites())}) {
-        h = mix(h, v);
+        h = hashCombine(h, v);
     }
     std::printf("  served r=%llu w=%llu fwd=%llu acts=%llu hira=%llu "
                 "rejected=%llu\n",
