@@ -83,7 +83,7 @@ runPass(const std::string &name, const std::string &cacheDir,
                                     plan[i].scheme.label().c_str(),
                                     plan[i].geom.key().c_str()),
                           out.results[i].wallSeconds,
-                          out.results[i].simCycles, std::string(),
+                          out.results[i].simCycles,
                           out.results[i].cacheHit);
     }
     recordCacheStats(runner);

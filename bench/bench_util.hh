@@ -6,7 +6,7 @@
  *
  * When HIRA_JSON=<dir> is set, every series the driver prints is also
  * captured and written to <dir>/BENCH_<driver>.json on footer() —
- * title, knob scale, git revision (configure-time), sections with
+ * title, knob scale, code stamp (sim/result_cache.hh), sections with
  * columns and rows — so figure trajectories can be tracked across PRs
  * without scraping stdout.
  */
@@ -34,10 +34,6 @@
 #include "sim/result_cache.hh"
 #include "workload/corpus.hh"
 
-#ifndef HIRA_GIT_REV
-#define HIRA_GIT_REV "unknown"
-#endif
-
 namespace hira {
 namespace benchutil {
 
@@ -59,7 +55,6 @@ struct TimingRow
     std::string label;
     double simSeconds = 0.0;
     std::uint64_t simulatedCycles = 0;
-    std::string kernel;   //!< simulation kernel the point ran under
     bool cacheHit = false; //!< served from the result cache
 };
 
@@ -162,16 +157,14 @@ writeJson()
              std::strerror(errno));
         return;
     }
-    std::fprintf(f, "{\n  \"driver\": \"%s\",\n  \"git_rev\": \"%s\",\n",
-                 jsonEscape(driverName()).c_str(),
-                 jsonEscape(HIRA_GIT_REV).c_str());
+    std::fprintf(f, "{\n  \"driver\": \"%s\",\n",
+                 jsonEscape(driverName()).c_str());
+    std::fprintf(f, "  \"code_stamp\": \"%s\",\n", codeStamp());
     std::fprintf(f, "  \"title\": \"%s\",\n  \"reproduces\": \"%s\",\n",
                  jsonEscape(cap.title).c_str(),
                  jsonEscape(cap.paperRef).c_str());
     std::fprintf(f, "  \"engine\": \"%s\",\n",
                  simEngineName(defaultSimEngine()));
-    std::fprintf(f, "  \"kernel\": \"%s\",\n",
-                 simKernelName(defaultSimKernel()));
     std::fprintf(f, "  \"metrics_level\": \"%s\",\n",
                  metricsLevelName(defaultMetricsLevel()));
     // Always present so artifact consumers (the CI warm-cache check)
@@ -228,12 +221,10 @@ writeJson()
                                 t.simSeconds
                           : 0.0;
         std::fprintf(f,
-                     "    {\"label\": \"%s\", \"kernel\": \"%s\", "
-                     "\"sim_seconds\": %s, "
+                     "    {\"label\": \"%s\", \"sim_seconds\": %s, "
                      "\"simulated_cycles\": %llu, "
                      "\"cycles_per_sec\": %s, \"cache_hit\": %s},\n",
                      jsonEscape(t.label).c_str(),
-                     jsonEscape(t.kernel).c_str(),
                      jsonNumber(t.simSeconds).c_str(),
                      static_cast<unsigned long long>(t.simulatedCycles),
                      jsonNumber(rate).c_str(),
@@ -437,21 +428,15 @@ note(const std::string &text)
  * "timing" block (sim seconds, simulated cycles; cycles/sec and a
  * total row are derived at write time). SweepGrid::run() records every
  * plan point automatically; call directly for hand-rolled sweeps.
- * @p kernel names the simulation kernel the point ran under; empty
- * means "whatever HIRA_KERNEL selects at record time" (drivers that
- * sweep the kernel axis pass it explicitly per point).
  */
 inline void
 recordPointTiming(const std::string &label, double sim_seconds,
-                  std::uint64_t simulated_cycles,
-                  const std::string &kernel = std::string(),
-                  bool cache_hit = false)
+                  std::uint64_t simulated_cycles, bool cache_hit = false)
 {
     detail::TimingRow t;
     t.label = label;
     t.simSeconds = sim_seconds;
     t.simulatedCycles = simulated_cycles;
-    t.kernel = kernel.empty() ? simKernelName(defaultSimKernel()) : kernel;
     t.cacheHit = cache_hit;
     detail::capture().timing.push_back(std::move(t));
 }
@@ -607,8 +592,7 @@ class SweepGrid
                 strprintf("%s @ %s", points_[i].scheme.label().c_str(),
                           points_[i].geom.key().c_str());
             recordPointTiming(label, results_[i].wallSeconds,
-                              results_[i].simCycles, std::string(),
-                              results_[i].cacheHit);
+                              results_[i].simCycles, results_[i].cacheHit);
             recordPointStats(label, results_[i].refresh,
                              results_[i].metrics);
         }

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -229,35 +228,6 @@ JsonValue
 parseJson(const std::string &text, const std::string &where)
 {
     return JsonParser(text, where).parse();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    return strprintf("%.17g", v);
 }
 
 } // namespace hira

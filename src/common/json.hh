@@ -1,14 +1,9 @@
 /**
  * @file
- * Minimal shared JSON support: a recursive-descent reader scoped to
- * what the repo's formats need (objects, arrays, strings with the
- * common escapes, numbers, booleans, null) plus the escaping/number
- * helpers every emitter shares.
- *
- * Grown out of the corpus-manifest reader (PR 4) when the sweep-plan
- * protocol (sim/sweep_plan.hh) and the result cache needed the same
- * machinery: one parser, one set of fatal diagnostics ("<where>:
- * invalid JSON at byte N: ...") for every JSON surface.
+ * Minimal JSON reader: a recursive-descent parser scoped to what the
+ * corpus manifest (workload/corpus.cc) needs — objects, arrays,
+ * strings with the common escapes, numbers, booleans, null — with one
+ * set of fatal diagnostics ("<where>: invalid JSON at byte N: ...").
  */
 
 #ifndef HIRA_COMMON_JSON_HH
@@ -58,16 +53,6 @@ struct JsonValue
  * garbage after the top-level value is rejected.
  */
 JsonValue parseJson(const std::string &text, const std::string &where);
-
-/** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
-/**
- * Render @p v as a JSON number that round-trips bitwise: %.17g is
- * exact for finite doubles; NaN/Inf (which JSON cannot express)
- * render as null.
- */
-std::string jsonDouble(double v);
 
 } // namespace hira
 

@@ -156,22 +156,6 @@ class MemoryController
      */
     void accrueRejected(std::uint64_t n) { stats_.rejectedRequests += n; }
 
-    // ----- specialized-kernel surface -----------------------------------
-
-    /**
-     * tick() instantiated for one concrete scheme type S: identical
-     * behavior, but every scheme hook on the path dispatches through
-     * SchemeOps<S> (mem/controller_kernel.hh) — devirtualized and
-     * inlinable when S is a final scheme class, plain virtual when
-     * S = RefreshScheme (the generic oracle tick() forwards to). Only
-     * System's run loops call these with a concrete S, after pinning
-     * at construction that the attached scheme really is an S.
-     */
-    template <class S> void tickAs(Cycle now);
-
-    /** nextEvent() instantiated for scheme type S (same contract). */
-    template <class S> Cycle nextEventAs() const;
-
     /** Completions accumulated since the last drain. */
     std::vector<Completion> &completions() { return completions_; }
 
@@ -277,22 +261,14 @@ class MemoryController
     void autoPreTick(Cycle now);
     bool issueColumnIfReady(RequestQueue &queue, bool is_read, Cycle now);
 
-    // The scheme-touching hot path, templated over the scheme type
-    // (bodies in mem/controller_kernel.hh). The non-template entry
-    // points above (tick, nextEvent, tryRefreshAct) forward to the
-    // S = RefreshScheme instantiations.
-    template <class S> Cycle computeNextEventAs(Cycle now) const;
+    Cycle computeNextEvent(Cycle now) const;
     /** Every activation funnels through here (PARA sampling hook). */
-    template <class S>
-    void onRowActivationAs(int rank, BankId bank, RowId row, Cycle now);
-    template <class S> void preventiveTickAs(Cycle now);
-    template <class S> void scheduleDemandAs(Cycle now);
-    template <class S>
-    void issueRowCommandAs(RequestQueue &queue, Cycle now);
+    void onRowActivation(int rank, BankId bank, RowId row, Cycle now);
+    void preventiveTick(Cycle now);
+    void scheduleDemand(Cycle now);
+    void issueRowCommand(RequestQueue &queue, Cycle now);
     /** Demand ACT (or HiRA) for @p req; the caller checked the gates. */
-    template <class S> void issueDemandActAs(const Request &req, Cycle now);
-    template <class S>
-    bool tryRefreshActAs(int rank, BankId bank, RowId row, Cycle now);
+    void issueDemandAct(const Request &req, Cycle now);
 
     /** Recount the bank's open-row hits from its two request lists. */
     void recountHits(int rank, BankId bank);
@@ -301,7 +277,7 @@ class MemoryController
      * True if the bank's open row has a queued hit the scheduler still
      * honors: readQ hits always, writeQ hits only in write-drain mode
      * (mirroring which queues FR-FCFS serves). Gates conflict PREs in
-     * issueRowCommandAs (as a hit-mask filter) and preventive closes in
+     * issueRowCommand (as a hit-mask filter) and preventive closes in
      * preventiveTick, and the wake scan replays exactly this predicate
      * so the event engine defers the same PREs dense would.
      */
@@ -366,11 +342,5 @@ class MemoryController
 };
 
 } // namespace hira
-
-// Companion header with the templated hot-path bodies (tickAs /
-// nextEventAs and the SchemeOps dispatch shims); it needs the complete
-// class above, and every includer of this header needs those
-// definitions to instantiate the kernels.
-#include "mem/controller_kernel.hh"
 
 #endif // HIRA_MEM_CONTROLLER_HH

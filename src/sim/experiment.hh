@@ -108,11 +108,11 @@ struct SweepPoint
      * Canonical result-cache key of this point when evaluated with
      * @p knobs over @p mixes: a multi-line string covering every
      * behavior-affecting input (code revision, geometry key and
-     * standard, scheme seed-key, engine/kernel/metrics selection,
+     * standard, scheme seed-key, engine and metrics selection,
      * warmup and measured cycles, and the fully-resolved mix specs —
-     * see sim/result_cache.hh). Tools, the daemon, and SweepRunner all
-     * derive keys through this one function so they can never disagree
-     * on field ordering; golden strings are pinned in
+     * see sim/result_cache.hh). Every cache user derives keys through
+     * this one function so they can never disagree on field
+     * ordering; golden strings are pinned in
      * tests/sim/test_result_cache.cc. Thread count is deliberately
      * absent (results are bitwise thread-count-independent), as is
      * knobs.rows (unused by sweep simulations).
@@ -266,8 +266,8 @@ class SweepRunner
     std::uint64_t aloneRunCount() const { return aloneRuns.load(); }
 
     /**
-     * Replace the result cache (tests and the daemon pass an explicit
-     * directory; nullptr disables caching). Both constructors install
+     * Replace the result cache (tests pass an explicit directory;
+     * nullptr disables caching). Both constructors install
      * ResultCache::fromEnv(), so HIRA_RESULT_CACHE enables caching for
      * every runner with no driver changes.
      */

@@ -14,8 +14,8 @@
 #include "common/logging.hh"
 #include "workload/corpus.hh"
 
-#ifndef HIRA_GIT_REV
-#define HIRA_GIT_REV "unknown"
+#ifndef HIRA_CODE_STAMP
+#include "hira_code_stamp.hh"
 #endif
 
 namespace hira {
@@ -311,13 +311,19 @@ defaultResultCacheMode()
     return ResultCacheMode::ReadWrite;
 }
 
+const char *
+codeStamp()
+{
+    return HIRA_CODE_STAMP;
+}
+
 std::string
 codeRevision()
 {
     const char *env = std::getenv("HIRA_CACHE_REV");
     if (env != nullptr && *env != '\0')
         return env;
-    return HIRA_GIT_REV;
+    return codeStamp();
 }
 
 ResultCache::ResultCache(std::string dir, ResultCacheMode mode,
@@ -480,8 +486,8 @@ ResultCache::storeEntry(const std::string &key, bool is_point,
         return;
     std::string content = renderEntry(key, is_point, point, ipc);
     std::string path = is_point ? pointPath(key) : alonePath(key);
-    // Unique temp name per writer: concurrent processes (daemon
-    // workers) and threads may commit the same key; each writes its
+    // Unique temp name per writer: concurrent processes sharing the
+    // directory and threads may commit the same key; each writes its
     // own temp file and the renames are atomic replacements of
     // byte-identical content.
     static std::atomic<std::uint64_t> tmpSeq{0};
@@ -600,22 +606,21 @@ resolvedMixSpecKey(const std::string &spec)
 namespace {
 
 /**
- * The key fields points and alone entries share. Engine, kernel, and
- * metrics level are bitwise result-neutral (pinned by the diff
- * suites), but they ARE behavior-affecting inputs of the *artifact*
- * (timing regimes, metrics payloads), so they key separate slots —
- * a conservative choice that can only cost extra simulations, never
+ * The key fields points and alone entries share. Engine and metrics
+ * level are bitwise result-neutral (pinned by the diff suites), but
+ * they ARE behavior-affecting inputs of the *artifact* (timing
+ * regimes, metrics payloads), so they key separate slots — a
+ * conservative choice that can only cost extra simulations, never
  * correctness.
  */
 std::string
 commonKeyFields(const GeomSpec &geom, const BenchKnobs &knobs)
 {
     return strprintf("rev=%s\ngeom=%s\nstandard=%s\nengine=%s\n"
-                     "kernel=%s\nmetrics=%s\nwarmup=%lld\ncycles=%lld\n",
+                     "metrics=%s\nwarmup=%lld\ncycles=%lld\n",
                      codeRevision().c_str(), geom.key().c_str(),
                      geom.standard.c_str(),
                      simEngineName(defaultSimEngine()),
-                     simKernelName(defaultSimKernel()),
                      metricsLevelName(defaultMetricsLevel()),
                      static_cast<long long>(knobs.warmup),
                      static_cast<long long>(knobs.cycles));

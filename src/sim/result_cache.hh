@@ -4,7 +4,7 @@
  *
  * The determinism work of PRs 3/5 made every simulation a pure
  * function of its inputs: per-run seeds derive injectively from
- * (geometry key, scheme seed-key, mix index), engines and kernels are
+ * (geometry key, scheme seed-key, mix index), the engines are
  * bitwise-equivalent, and corpus priors round-trip exactly. That is
  * what makes memoizing PointResults sound — and this cache is that
  * memo, shared across processes through a directory of single-file
@@ -15,11 +15,12 @@
  * sim/experiment.hh and aloneResultCacheKey below): run seeds (via the
  * geometry/scheme keys they derive from), the fully-resolved mix specs
  * including corpus manifest priors and "?once" options, warmup and
- * measured cycles, SimEngine, SimKernel, metrics level, the memory
- * standard, and a code-revision stamp (the configure-time git rev, so
- * a rebuilt kernel never serves stale numbers). The entry file stores
- * the full key and is rejected as stale when it does not match the
- * lookup key — a hash collision or a tampered file can never alias.
+ * measured cycles, SimEngine, metrics level, the memory standard, and
+ * a code-revision stamp (codeStamp(), a hash of the compiled sources,
+ * so a rebuilt simulator never serves stale numbers). The entry file
+ * stores the full key and is rejected as stale when it does not match
+ * the lookup key — a hash collision or a tampered file can never
+ * alias.
  *
  * Knobs: HIRA_RESULT_CACHE=<dir> enables the cache for every
  * SweepRunner in the process; HIRA_RESULT_CACHE_MODE selects
@@ -61,10 +62,17 @@ const char *resultCacheModeName(ResultCacheMode mode);
 ResultCacheMode defaultResultCacheMode();
 
 /**
+ * The build's code stamp: a hash of the library's sources, headers,
+ * compiler and flags, computed at build time by cmake/code_stamp.cmake.
+ * Any edit under src/ changes it. HIRA_JSON artifacts record it as
+ * "code_stamp".
+ */
+const char *codeStamp();
+
+/**
  * The code-revision stamp folded into every cache key: the
  * HIRA_CACHE_REV environment variable when set (tests pin golden keys
- * with it), else the configure-time git revision compiled into the
- * library — the same stamp HIRA_JSON artifacts carry.
+ * with it), else codeStamp().
  */
 std::string codeRevision();
 

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "security/para_analysis.hh"
+#include "sim/experiment.hh"
 
 namespace hira {
 

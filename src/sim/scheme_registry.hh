@@ -8,9 +8,9 @@
  * through, the SchemeSpec -> SystemConfig wiring makeSystemConfig
  * dispatches through, the human label base, and the scheme's seed-key
  * contribution (every behavior-affecting knob the base SchemeSpec key
- * does not already cover). Adding a scheme means one entry here plus
- * the kernel tag (sim/kernel.hh) — the sweep, label, seeding, and
- * diagnostics layers pick it up from the registry.
+ * does not already cover). Adding a scheme means one SchemeKind value
+ * and one entry here — the sweep, label, seeding, and diagnostics
+ * layers pick it up from the registry.
  *
  * Lookups by unknown name are fatal and list the known names,
  * mirroring benchmarkByName(): a typo in a sweep spec or bench driver
@@ -20,13 +20,27 @@
 #ifndef HIRA_SIM_SCHEME_REGISTRY_HH
 #define HIRA_SIM_SCHEME_REGISTRY_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hh"
-
 namespace hira {
+
+class RefreshScheme;
+struct SchemeSpec;
+struct SystemConfig;
+
+/** Which refresh scheme the controllers run. */
+enum class SchemeKind
+{
+    NoRefresh, //!< ideal, no periodic refresh (Fig. 9a baseline)
+    Baseline,  //!< rank-level REF every tREFI
+    HiraMc,    //!< HiRA-MC (HiRA-N via HiraMcConfig::slackN)
+    Rfm,       //!< DDR5 refresh management (per-bank RAA counters)
+    Prac,      //!< per-row activation counters, threshold refresh
+    Graphene,  //!< Misra-Gries tracker with per-tREFI TRR refreshes
+};
 
 /** One registry entry: everything keyed by a SchemeKind. */
 struct SchemeRegistryEntry

@@ -10,6 +10,7 @@
 
 #include <set>
 
+#include "sim/experiment.hh"
 #include "sim/scheme_registry.hh"
 
 using namespace hira;

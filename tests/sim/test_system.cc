@@ -2,13 +2,18 @@
  * @file
  * Integration tests of the full system: determinism, refresh-scheme
  * ordering (NoRefresh >= HiRA >= Baseline at high capacity), PARA
- * overheads, weighted speedup, and full-system trace audits.
+ * overheads, weighted speedup, and full-system trace audits of every
+ * refresh scheme on DDR4 and DDR5.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "dram/timing_checker.hh"
 #include "sim/experiment.hh"
+#include "sim/scheme_registry.hh"
 
 using namespace hira;
 
@@ -161,45 +166,86 @@ TEST(SystemSim, MultiChannelImprovesThroughput)
     EXPECT_GT(ipc4, ipc1 * 1.3);
 }
 
-TEST(SystemSim, FullSystemTracesAuditClean)
+namespace {
+
+/**
+ * One audited configuration per SchemeKind: immediate PARA on Baseline
+ * and PreventiveRC PARA on HiRA-MC, so the preventive-refresh paths of
+ * both controller modes issue commands too, and PRAC and Graphene
+ * thresholds low enough that benign mixes trigger their refreshes
+ * within the run on both standards.
+ */
+SchemeSpec
+auditedScheme(SchemeKind kind)
+{
+    SchemeSpec s;
+    s.kind = kind;
+    if (kind == SchemeKind::Baseline) {
+        s.paraEnabled = true;
+        s.nrh = 256.0;
+    } else if (kind == SchemeKind::HiraMc) {
+        s.slackN = 4;
+        s.paraEnabled = true;
+        s.preventiveViaHira = true;
+        s.nrh = 512.0;
+    } else if (kind == SchemeKind::Prac) {
+        s.pracThreshold = 8;
+    } else if (kind == SchemeKind::Graphene) {
+        s.nrh = 16.0; // tracker threshold nrh / 4
+    }
+    return s;
+}
+
+class SystemTraceAudit
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, const char *>>
+{
+};
+
+} // namespace
+
+TEST_P(SystemTraceAudit, EveryChannelAuditsClean)
 {
     // End-to-end protocol audit: every channel's command trace from a
-    // full-system run (HiRA periodic + PreventiveRC PARA) is legal.
+    // full-system run of the scheme is legal under the standard's DDR
+    // timing, as checked by the independent TimingChecker.
+    const auto [kind, standard] = GetParam();
     GeomSpec g;
+    g.standard = standard;
+    g.capacityGb = standardByName(standard).defaultCapacityGb;
     g.channels = 2;
-    SchemeSpec s;
-    s.kind = SchemeKind::HiraMc;
-    s.slackN = 4;
-    s.paraEnabled = true;
-    s.preventiveViaHira = true;
-    s.nrh = 512.0;
-    SystemConfig cfg = makeSystemConfig(g, s, memHeavyMix(), 3);
+    g.ranks = 2;
+    SystemConfig cfg =
+        makeSystemConfig(g, auditedScheme(kind), memHeavyMix(), 3);
     cfg.recordTraces = true;
     System sys(cfg);
     sys.run(30000);
+    // The scheme's own refreshes must be in the traces being audited.
+    const SystemResult r = sys.result();
+    if (kind == SchemeKind::Baseline) {
+        EXPECT_GT(r.controller.refs, 0u);
+    } else if (kind != SchemeKind::NoRefresh) {
+        EXPECT_GT(r.refresh.rowRefreshes, 0u);
+    }
     TimingChecker checker(cfg.geom, cfg.tp);
     for (int ch = 0; ch < sys.channels(); ++ch) {
-        auto violations = checker.check(sys.controller(ch).trace());
+        std::vector<Command> trace = sys.controller(ch).trace();
+        EXPECT_FALSE(trace.empty()) << "channel " << ch;
+        auto violations = checker.check(trace);
         EXPECT_TRUE(violations.empty())
-            << "channel " << ch << ": "
+            << "channel " << ch << ": " << violations.size()
+            << " violations, first: "
             << (violations.empty() ? "" : violations[0].message);
     }
 }
 
-TEST(SystemSim, BaselineSystemTraceAuditsClean)
-{
-    GeomSpec g;
-    g.ranks = 2;
-    SchemeSpec s;
-    s.kind = SchemeKind::Baseline;
-    s.paraEnabled = true;
-    s.nrh = 256.0;
-    SystemConfig cfg = makeSystemConfig(g, s, memHeavyMix(), 4);
-    cfg.recordTraces = true;
-    System sys(cfg);
-    sys.run(30000);
-    TimingChecker checker(cfg.geom, cfg.tp);
-    auto violations = checker.check(sys.controller(0).trace());
-    EXPECT_TRUE(violations.empty())
-        << (violations.empty() ? "" : violations[0].message);
-}
+INSTANTIATE_TEST_SUITE_P(
+    SchemesByStandard, SystemTraceAudit,
+    ::testing::Combine(
+        ::testing::Values(SchemeKind::NoRefresh, SchemeKind::Baseline,
+                          SchemeKind::HiraMc, SchemeKind::Rfm,
+                          SchemeKind::Prac, SchemeKind::Graphene),
+        ::testing::Values("ddr4_2400", "ddr5_4800")),
+    [](const auto &p) {
+        return std::string(schemeEntryByKind(std::get<0>(p.param)).name) +
+               "_" + std::get<1>(p.param);
+    });

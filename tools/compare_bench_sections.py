@@ -7,9 +7,9 @@ artifact ("metrics_level", per-point "metrics" objects) but must never
 change a result the driver reports: the "sections" arrays — every
 figure/table series, every row label, every value — must be bitwise
 identical between a metrics-on and a metrics-off run. The result-cache
-contract (BUILDING.md "Result cache and sweep service") extends the
-same bar to cold-vs-warm reruns. CI enforces both with this script;
-any drift is an instrumentation or cache-fidelity bug.
+contract (BUILDING.md "Result cache") extends the same bar to
+cold-vs-warm reruns. CI enforces both with this script; any drift is
+an instrumentation or cache-fidelity bug.
 
 Usage: compare_bench_sections.py [--tolerance REL] A.json B.json
 
