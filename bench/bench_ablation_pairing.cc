@@ -3,7 +3,8 @@
  * Ablation (DESIGN.md): contribution of each HiRA-MC pairing mechanism
  * at 128 Gb — refresh-access pairing (case 1), refresh-refresh pairing
  * incl. schedule pull-ahead (case 2), both, or neither (standalone
- * per-row refreshes only).
+ * per-row refreshes only). All points run as one sharded
+ * SweepRunner::runPoints() drain.
  */
 
 #include "bench_util.hh"
@@ -25,12 +26,13 @@ main()
     GeomSpec g;
     g.capacityGb = 128.0;
 
+    SweepGrid grid;
     SchemeSpec none;
     none.kind = SchemeKind::NoRefresh;
-    double ws_ideal = runner.meanWs(g, none);
+    std::size_t ideal_id = grid.add(g, none);
     SchemeSpec base;
     base.kind = SchemeKind::Baseline;
-    double ws_base = runner.meanWs(g, base);
+    std::size_t base_id = grid.add(g, base);
 
     struct Variant
     {
@@ -44,11 +46,7 @@ main()
         {"+refresh-access", true, false, false},
         {"full HiRA-MC", true, true, true},
     };
-
-    std::printf("%-20s %14s %14s %16s\n", "variant", "WS/NoRefresh",
-                "WS/Baseline", "paired fraction");
-    std::printf("%-20s %14.3f %14s %16s\n", "Baseline (REF)",
-                ws_base / ws_ideal, "1.000", "-");
+    std::vector<std::size_t> ids;
     for (const Variant &v : variants) {
         SchemeSpec s;
         s.kind = SchemeKind::HiraMc;
@@ -56,15 +54,26 @@ main()
         s.accessPairing = v.access;
         s.refreshPairing = v.rr || v.pull;
         s.pullAhead = v.pull;
-        double ws = runner.meanWs(g, s);
-        const RefreshStats &rs = runner.lastRefreshStats();
+        ids.push_back(grid.add(g, s));
+    }
+    grid.run(runner);
+    double ws_ideal = grid.ws(ideal_id);
+    double ws_base = grid.ws(base_id);
+
+    std::printf("%-20s %14s %14s %16s\n", "variant", "WS/NoRefresh",
+                "WS/Baseline", "paired fraction");
+    std::printf("%-20s %14.3f %14s %16s\n", "Baseline (REF)",
+                ws_base / ws_ideal, "1.000", "-");
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        double ws = grid.ws(ids[i]);
+        const RefreshStats &rs = grid.at(ids[i]).refresh;
         double paired =
             rs.rowRefreshes == 0
                 ? 0.0
                 : static_cast<double>(rs.accessPaired +
                                       rs.refreshPaired) /
                       static_cast<double>(rs.rowRefreshes);
-        std::printf("%-20s %14.3f %14.3f %15.1f%%\n", v.name,
+        std::printf("%-20s %14.3f %14.3f %15.1f%%\n", variants[i].name,
                     ws / ws_ideal, ws / ws_base, 100.0 * paired);
     }
     note("who wins: full HiRA-MC; each pairing mechanism independently "

@@ -61,8 +61,8 @@ struct TimingRow
 /** Result-cache outcome of a driver's sweeps (see recordCacheStats). */
 struct CacheRecord
 {
-    bool have = false;   //!< a cache-enabled runner was recorded
-    std::string mode;    //!< "off" / "read" / "readwrite"
+    bool have = false;    //!< a runner was recorded
+    bool enabled = false; //!< that runner had a result cache
     ResultCacheStats stats;
     std::uint64_t pointsSimulated = 0;
     std::uint64_t pointsFromCache = 0;
@@ -168,18 +168,18 @@ writeJson()
     std::fprintf(f, "  \"metrics_level\": \"%s\",\n",
                  metricsLevelName(defaultMetricsLevel()));
     // Always present so artifact consumers (the CI warm-cache check)
-    // never have to special-case its absence: mode "off" when no
-    // cache-enabled runner was recorded.
+    // never have to special-case its absence: "enabled": false when no
+    // runner was recorded.
     if (cap.cache.have) {
         const ResultCacheStats &cs = cap.cache.stats;
         std::fprintf(
             f,
-            "  \"result_cache\": {\"mode\": \"%s\", "
+            "  \"result_cache\": {\"enabled\": %s, "
             "\"points_simulated\": %llu, \"points_from_cache\": %llu, "
             "\"hits\": %llu, \"misses\": %llu, \"stale\": %llu, "
             "\"corrupt\": %llu, \"writes\": %llu, "
             "\"bytes_read\": %llu, \"bytes_written\": %llu},\n",
-            jsonEscape(cap.cache.mode).c_str(),
+            cap.cache.enabled ? "true" : "false",
             static_cast<unsigned long long>(cap.cache.pointsSimulated),
             static_cast<unsigned long long>(cap.cache.pointsFromCache),
             static_cast<unsigned long long>(cs.hits),
@@ -190,7 +190,7 @@ writeJson()
             static_cast<unsigned long long>(cs.bytesRead),
             static_cast<unsigned long long>(cs.bytesWritten));
     } else {
-        std::fprintf(f, "  \"result_cache\": {\"mode\": \"off\"},\n");
+        std::fprintf(f, "  \"result_cache\": {\"enabled\": false},\n");
     }
     if (cap.haveKnobs) {
         std::fprintf(f,
@@ -443,7 +443,7 @@ recordPointTiming(const std::string &label, double sim_seconds,
 
 /**
  * Record @p runner's result-cache outcome for the HIRA_JSON artifact's
- * "result_cache" block (mode, hit/miss/stale/corrupt/write counters,
+ * "result_cache" block (enabled, hit/miss/stale/corrupt/write counters,
  * and the points simulated vs served from cache). SweepGrid::run()
  * records automatically; call directly after hand-rolled runPoints()
  * sweeps. Cumulative per runner, so the last call per driver wins —
@@ -455,8 +455,7 @@ recordCacheStats(const SweepRunner &runner)
     detail::CacheRecord &rec = detail::capture().cache;
     const ResultCache *cache = runner.resultCache();
     rec.have = true;
-    rec.mode = cache != nullptr ? resultCacheModeName(cache->mode())
-                                : "off";
+    rec.enabled = cache != nullptr;
     rec.stats = cache != nullptr ? cache->stats() : ResultCacheStats{};
     rec.pointsSimulated = runner.pointsSimulated();
     rec.pointsFromCache = runner.pointsFromCache();

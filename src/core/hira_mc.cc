@@ -78,12 +78,6 @@ HiraMc::attachMetrics(const MetricScope &scope)
     mRefptrResets = scope.counter("refptr_resets");
 }
 
-const RefreshStats *
-HiraMc::baselineStats() const
-{
-    return baseline != nullptr ? &baseline->stats() : nullptr;
-}
-
 void
 HiraMc::generatePeriodic(Cycle now)
 {
@@ -162,6 +156,9 @@ HiraMc::tick(Cycle now)
         generatePeriodic(now);
     } else {
         baseline->tick(now);
+        // Mirror the internal REF engine, as the mitigation-zoo
+        // schemes do, so the scheme's stats count its REF commands.
+        stats_.refCommands = baseline->stats().refCommands;
         if (!ctrl->busFree(now))
             return;
     }

@@ -90,8 +90,6 @@ class HiraMc final : public RefreshScheme
     const PrFifoSet &prFifo(int rank) const { return fifos[rank]; }
     const SubarrayPairsTable &spt() const { return *spt_; }
     const HiraMcConfig &config() const { return cfg; }
-    /** Stats of the internal baseline REF engine (periodicViaHira=false). */
-    const RefreshStats *baselineStats() const;
 
   private:
     struct Target

@@ -105,7 +105,7 @@ RfmRefresh::tick(Cycle now)
 {
     baseline_->tick(now);
     // Mirror the internal REF engine so System::result() needs no
-    // scheme-specific aggregation (unlike HiraMc's baselineStats hook).
+    // scheme-specific aggregation.
     stats_.refCommands = baseline_->stats().refCommands;
     if (!ctrl->busFree(now))
         return;

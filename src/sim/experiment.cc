@@ -310,11 +310,8 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
             missIdx.push_back(pi);
     }
     pointsSimulated_.fetch_add(missIdx.size());
-    if (missIdx.empty()) {
-        // Fully-warm plan: no simulation, no alone warmups.
-        lastRefresh = out.back().refresh;
-        return out;
-    }
+    if (missIdx.empty())
+        return out; // fully-warm plan: no simulation, no alone warmups
 
     // Deduplicated IPC-alone warmup items: one per (bench, geometry)
     // key — of the cache-miss points only — that is neither cached nor
@@ -355,6 +352,41 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
     const std::size_t nMixes = mixes_.size();
     std::vector<std::vector<RunResult>> runs(
         missIdx.size(), std::vector<RunResult>(nMixes));
+    // Mixes still running per miss point: the worker that finishes a
+    // point's last mix reduces and commits it.
+    std::vector<std::atomic<std::size_t>> pending(missIdx.size());
+    for (std::atomic<std::size_t> &n : pending)
+        n = nMixes;
+
+    // Reduce one miss point in mix order, so the floating point
+    // summation order is fixed regardless of thread count — and
+    // identical to an uncached run's, which is what makes cold and
+    // warm artifacts bitwise-equal. The point is committed to the
+    // cache as soon as it is complete, so a killed sweep resumes from
+    // every point that finished. The alone warmups were all dispatched
+    // before any mix, so aloneIpc() here returns (or waits on an
+    // in-flight run) without simulating.
+    auto commitPoint = [&](std::size_t k) {
+        std::size_t pi = missIdx[k];
+        const SweepPoint &p = plan[pi];
+        double sum = 0.0;
+        for (std::size_t mi = 0; mi < nMixes; ++mi) {
+            std::vector<double> alone;
+            for (const std::string &b : mixes_[mi])
+                alone.push_back(aloneIpc(b, p.geom));
+            sum += weightedSpeedup(
+                runs[k][mi].ipc, alone,
+                strprintf("mix %zu on %s", mi, p.geom.key().c_str()));
+            accumulateRefresh(out[pi].refresh, runs[k][mi].sys.refresh);
+            out[pi].wallSeconds += runs[k][mi].wallSeconds;
+            out[pi].simCycles += runs[k][mi].simCycles;
+            out[pi].metrics.merge(runs[k][mi].metrics);
+        }
+        out[pi].meanWs = sum / static_cast<double>(nMixes);
+        if (resultCache_ != nullptr)
+            resultCache_->storePoint(missKeys[k], out[pi]);
+    };
+
     // Per-work-item trace spans: each item records an X event with its
     // own run time plus how long it sat queued behind the pool
     // (queue_wait_us = dispatch minus plan submission). Observational
@@ -383,6 +415,8 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
                 sweepRunSeed(p.geom.key(), p.scheme.seedKey(), mi));
             runs[k][mi] = runOne(cfg, static_cast<Cycle>(knobs.warmup),
                                  static_cast<Cycle>(knobs.cycles));
+            if (pending[k].fetch_sub(1) == 1)
+                commitPoint(k);
         }
         if (tracing) {
             tlog.complete(
@@ -390,34 +424,6 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
                 strprintf("\"queue_wait_us\": %.3f", tStart - tSubmit));
         }
     });
-
-    // Reduce the miss points on the calling thread in plan/mix order,
-    // so the floating point summation order is fixed regardless of
-    // thread count — and identical to an uncached run's, which is what
-    // makes cold and warm artifacts bitwise-equal. Each reduced point
-    // is committed to the cache as soon as it is complete (point
-    // granularity: a killed multi-point plan resumes from here).
-    for (std::size_t k = 0; k < missIdx.size(); ++k) {
-        std::size_t pi = missIdx[k];
-        const SweepPoint &p = plan[pi];
-        double sum = 0.0;
-        for (std::size_t mi = 0; mi < nMixes; ++mi) {
-            std::vector<double> alone;
-            for (const std::string &b : mixes_[mi])
-                alone.push_back(aloneIpc(b, p.geom));
-            sum += weightedSpeedup(
-                runs[k][mi].ipc, alone,
-                strprintf("mix %zu on %s", mi, p.geom.key().c_str()));
-            accumulateRefresh(out[pi].refresh, runs[k][mi].sys.refresh);
-            out[pi].wallSeconds += runs[k][mi].wallSeconds;
-            out[pi].simCycles += runs[k][mi].simCycles;
-            out[pi].metrics.merge(runs[k][mi].metrics);
-        }
-        out[pi].meanWs = sum / static_cast<double>(nMixes);
-        if (resultCache_ != nullptr)
-            resultCache_->storePoint(missKeys[k], out[pi]);
-    }
-    lastRefresh = out.back().refresh;
     return out;
 }
 
@@ -425,33 +431,6 @@ double
 SweepRunner::meanWs(const GeomSpec &geom, const SchemeSpec &scheme)
 {
     return runPoints({SweepPoint{geom, scheme}}).front().meanWs;
-}
-
-std::vector<RunResult>
-SweepRunner::runMixes(const GeomSpec &geom, const SchemeSpec &scheme)
-{
-    std::vector<RunResult> results(mixes_.size());
-    std::string geomKey = geom.key();
-    std::string schemeKey = scheme.seedKey();
-    pool.parallelFor(mixes_.size(), [&](std::size_t i) {
-        SystemConfig cfg = makeSystemConfig(
-            geom, scheme, mixes_[i],
-            sweepRunSeed(geomKey, schemeKey, i));
-        results[i] = runOne(cfg, static_cast<Cycle>(knobs.warmup),
-                            static_cast<Cycle>(knobs.cycles));
-    });
-    return results;
-}
-
-double
-SweepRunner::meanMetric(const GeomSpec &geom, const SchemeSpec &scheme,
-                        double (*metric)(const RunResult &))
-{
-    std::vector<RunResult> results = runMixes(geom, scheme);
-    double sum = 0.0;
-    for (const RunResult &r : results)
-        sum += metric(r);
-    return sum / static_cast<double>(results.size());
 }
 
 } // namespace hira

@@ -211,7 +211,8 @@ double weightedSpeedup(const std::vector<double> &ipc_shared,
  * Results are bitwise independent of the thread count: every
  * simulation's seed is a pure function of (geometry, scheme, mix
  * index) via sweepRunSeed(), results land in per-index slots, and
- * reductions run on the calling thread in index order.
+ * each point is reduced in mix order by the worker that finishes its
+ * last mix.
  */
 class SweepRunner
 {
@@ -234,8 +235,10 @@ class SweepRunner
     /**
      * Evaluate every point of the plan, sharding all (point x mix)
      * work items across the worker pool at once. Results are in plan
-     * order. Worker exceptions are rethrown on the calling thread
-     * (first one wins); a fatal() in a worker still exits the process.
+     * order; with a result cache, each point is stored as soon as its
+     * last mix finishes. Worker exceptions are rethrown on the calling
+     * thread (first one wins); a fatal() in a worker still exits the
+     * process.
      */
     std::vector<PointResult> runPoints(const std::vector<SweepPoint> &plan);
 
@@ -244,10 +247,6 @@ class SweepRunner
      * runner's mixes. Thin wrapper over a single-point runPoints().
      */
     double meanWs(const GeomSpec &geom, const SchemeSpec &scheme);
-
-    /** Mean of an arbitrary per-run metric across mixes. */
-    double meanMetric(const GeomSpec &geom, const SchemeSpec &scheme,
-                      double (*metric)(const RunResult &));
 
     /**
      * Cached single-core IPC of @p bench alone on @p geom (the
@@ -282,18 +281,7 @@ class SweepRunner
     /** Plan points served from the result cache by runPoints(). */
     std::uint64_t pointsFromCache() const { return pointsFromCache_.load(); }
 
-    /**
-     * Refresh stats of the most recent point evaluated: after
-     * meanWs(), that call's mix-summed aggregate; after a multi-point
-     * runPoints(), the FINAL plan point's aggregate only (per-point
-     * stats are in each PointResult::refresh).
-     */
-    const RefreshStats &lastRefreshStats() const { return lastRefresh; }
-
   private:
-    std::vector<RunResult> runMixes(const GeomSpec &geom,
-                                    const SchemeSpec &scheme);
-
     /**
      * Install workload @p bench's manifest alone-IPC prior (if any)
      * into the cache as a ready slot under @p key; true on install.
@@ -321,8 +309,6 @@ class SweepRunner
     std::unique_ptr<ResultCache> resultCache_;
     std::atomic<std::uint64_t> pointsSimulated_{0};
     std::atomic<std::uint64_t> pointsFromCache_{0};
-
-    RefreshStats lastRefresh;
 };
 
 } // namespace hira

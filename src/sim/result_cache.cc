@@ -282,53 +282,12 @@ parsePayload(EntryCursor &cur, bool is_point, PointResult &point,
 } // namespace
 
 const char *
-resultCacheModeName(ResultCacheMode mode)
-{
-    switch (mode) {
-      case ResultCacheMode::Off: return "off";
-      case ResultCacheMode::Read: return "read";
-      case ResultCacheMode::ReadWrite: return "readwrite";
-    }
-    panic("unreachable result-cache mode");
-}
-
-ResultCacheMode
-defaultResultCacheMode()
-{
-    const char *env = std::getenv("HIRA_RESULT_CACHE_MODE");
-    if (env == nullptr || *env == '\0')
-        return ResultCacheMode::ReadWrite;
-    std::string v = env;
-    if (v == "off")
-        return ResultCacheMode::Off;
-    if (v == "read")
-        return ResultCacheMode::Read;
-    if (v == "readwrite")
-        return ResultCacheMode::ReadWrite;
-    warn_once("HIRA_RESULT_CACHE_MODE='%s' is not one of off, read, "
-              "readwrite; using readwrite",
-              env);
-    return ResultCacheMode::ReadWrite;
-}
-
-const char *
 codeStamp()
 {
     return HIRA_CODE_STAMP;
 }
 
-std::string
-codeRevision()
-{
-    const char *env = std::getenv("HIRA_CACHE_REV");
-    if (env != nullptr && *env != '\0')
-        return env;
-    return codeStamp();
-}
-
-ResultCache::ResultCache(std::string dir, ResultCacheMode mode,
-                         std::size_t lruCapacity)
-    : dir_(std::move(dir)), mode_(mode), lruCapacity_(lruCapacity)
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
     hira_assert(!dir_.empty());
     // Best-effort, one level deep — same convention as HIRA_JSON. A
@@ -342,10 +301,7 @@ ResultCache::fromEnv()
     const char *dir = std::getenv("HIRA_RESULT_CACHE");
     if (dir == nullptr || *dir == '\0')
         return nullptr;
-    ResultCacheMode mode = defaultResultCacheMode();
-    if (mode == ResultCacheMode::Off)
-        return nullptr;
-    return std::make_unique<ResultCache>(dir, mode);
+    return std::make_unique<ResultCache>(dir);
 }
 
 std::string
@@ -361,49 +317,10 @@ ResultCache::alonePath(const std::string &key) const
 }
 
 bool
-ResultCache::lruGet(const std::string &tag, LruEntry &out)
-{
-    auto it = lruIndex_.find(tag);
-    if (it == lruIndex_.end())
-        return false;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    out = *it->second;
-    return true;
-}
-
-void
-ResultCache::lruPut(LruEntry entry)
-{
-    auto it = lruIndex_.find(entry.tag);
-    if (it != lruIndex_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        *it->second = std::move(entry);
-        return;
-    }
-    lru_.push_front(std::move(entry));
-    lruIndex_[lru_.front().tag] = lru_.begin();
-    while (lru_.size() > lruCapacity_) {
-        lruIndex_.erase(lru_.back().tag);
-        lru_.pop_back();
-    }
-}
-
-bool
 ResultCache::lookupEntry(const std::string &key, bool is_point,
                          PointResult &point, double &ipc)
 {
-    std::string tag = (is_point ? "p|" : "a|") + key;
     std::lock_guard<std::mutex> lock(mutex_);
-    LruEntry cached;
-    if (lruGet(tag, cached)) {
-        ++stats_.hits;
-        if (is_point)
-            point = cached.point;
-        else
-            ipc = cached.ipc;
-        return true;
-    }
-
     std::string path = is_point ? pointPath(key) : alonePath(key);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -465,16 +382,10 @@ ResultCache::lookupEntry(const std::string &key, bool is_point,
         return false;
     }
     ++stats_.hits;
-    LruEntry entry;
-    entry.tag = std::move(tag);
-    if (is_point) {
-        point = parsed;
-        entry.point = std::move(parsed);
-    } else {
+    if (is_point)
+        point = std::move(parsed);
+    else
         ipc = parsedIpc;
-        entry.ipc = parsedIpc;
-    }
-    lruPut(std::move(entry));
     return true;
 }
 
@@ -482,8 +393,6 @@ void
 ResultCache::storeEntry(const std::string &key, bool is_point,
                         const PointResult &point, double ipc)
 {
-    if (mode_ != ResultCacheMode::ReadWrite)
-        return;
     std::string content = renderEntry(key, is_point, point, ipc);
     std::string path = is_point ? pointPath(key) : alonePath(key);
     // Unique temp name per writer: concurrent processes sharing the
@@ -512,11 +421,6 @@ ResultCache::storeEntry(const std::string &key, bool is_point,
     }
     ++stats_.writes;
     stats_.bytesWritten += content.size();
-    LruEntry entry;
-    entry.tag = (is_point ? "p|" : "a|") + key;
-    entry.point = point;
-    entry.ipc = ipc;
-    lruPut(std::move(entry));
 }
 
 bool
@@ -618,7 +522,7 @@ commonKeyFields(const GeomSpec &geom, const BenchKnobs &knobs)
 {
     return strprintf("rev=%s\ngeom=%s\nstandard=%s\nengine=%s\n"
                      "metrics=%s\nwarmup=%lld\ncycles=%lld\n",
-                     codeRevision().c_str(), geom.key().c_str(),
+                     codeStamp(), geom.key().c_str(),
                      geom.standard.c_str(),
                      simEngineName(defaultSimEngine()),
                      metricsLevelName(defaultMetricsLevel()),

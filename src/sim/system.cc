@@ -424,12 +424,6 @@ System::result() const
         r.refresh.deadlineMisses += rs.deadlineMisses;
         r.refresh.preventiveGenerated += rs.preventiveGenerated;
         r.refresh.preventiveDropped += rs.preventiveDropped;
-        // HiRA-MC may run an internal baseline REF engine (Fig. 12).
-        if (const auto *hmc =
-                dynamic_cast<const HiraMc *>(&ctrl->scheme())) {
-            if (const RefreshStats *bs = hmc->baselineStats())
-                r.refresh.refCommands += bs->refCommands;
-        }
     }
     if (r.controller.readsServed > 0) {
         r.avgReadLatencyCycles =

@@ -5,10 +5,8 @@
  * optional alone-IPC prior), addressed by "corpus:<name>" workload
  * specs.
  *
- * A corpus directory holds the trace files and a manifest — either
- * `manifest.tsv` or `manifest.json` (TSV wins when both exist):
- *
- * TSV: comment lines start with '#'; each record line has six
+ * A corpus directory holds the trace files and a `manifest.tsv`.
+ * Comment lines start with '#'; each record line has six
  * whitespace-separated columns
  *
  *     <name> <file> <format> <instructions> <class> <alone-ipc>
@@ -17,14 +15,9 @@
  * (memory-intensity bin, see classifyApki), and <alone-ipc> is the
  * trace's single-core reference IPC or `-` when not measured.
  *
- * JSON: an object `{"version": 1, "traces": [...]}` whose entries
- * carry the same fields as keys (`name`, `file`, `format`,
- * `instructions`, `class`, `alone_ipc`; omit `alone_ipc` or use null
- * for "not measured").
- *
  * `<file>` paths are resolved relative to the manifest's directory;
- * absolute paths pass through. `tools/hira_tracegen` writes both
- * manifest flavors; see BUILDING.md for the workflow.
+ * absolute paths pass through. `tools/hira_tracegen` writes the
+ * manifest; see BUILDING.md for the workflow.
  *
  * The *active* corpus (Corpus::active) backs `corpus:` spec resolution
  * and the SweepRunner alone-IPC priors. It loads lazily from the
@@ -85,9 +78,9 @@ class Corpus
 {
   public:
     /**
-     * Load the manifest of @p dir (`manifest.tsv`, else
-     * `manifest.json`). Fatal on a missing/malformed manifest, on
-     * duplicate names, and on entries whose trace file does not exist.
+     * Load @p dir's `manifest.tsv`. Fatal on a missing/malformed
+     * manifest, on duplicate names, and on entries whose trace file
+     * does not exist.
      */
     static Corpus load(const std::string &dir);
 
@@ -130,16 +123,15 @@ class Corpus
 };
 
 /**
- * Write @p entries as a manifest into @p dir: `manifest.tsv`, plus
- * `manifest.json` when @p also_json is set. Alone-IPC priors are
- * printed with %.17g so they round-trip exactly (prior-carrying sweeps
- * reproduce measured-alone sweeps bitwise). A non-empty @p comment is
- * recorded in both flavors (hira_tracegen uses it to note the knobs
- * the priors were measured at — informational, not parsed back).
+ * Write @p entries as `manifest.tsv` into @p dir. Alone-IPC priors
+ * are printed with %.17g so they round-trip exactly (prior-carrying
+ * sweeps reproduce measured-alone sweeps bitwise). A non-empty
+ * @p comment is recorded as a comment line (hira_tracegen uses it to
+ * note the knobs the priors were measured at — informational, not
+ * parsed back).
  */
 void writeManifest(const std::string &dir,
                    const std::vector<CorpusEntry> &entries,
-                   bool also_json = true,
                    const std::string &comment = std::string());
 
 /**

@@ -2,7 +2,8 @@
  * @file
  * Tests for the HiRA-MC refresh scheme driving a real controller:
  * periodic generation rate, deadline guarantees, pairing behavior, the
- * PreventiveRC path, and the protocol audit of HiRA command traces.
+ * PreventiveRC path (including its REF-command accounting in a full
+ * system), and the protocol audit of HiRA command traces.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "core/hira_mc.hh"
 #include "dram/timing_checker.hh"
 #include "mem/controller.hh"
+#include "sim/experiment.hh"
 
 using namespace hira;
 
@@ -168,9 +170,40 @@ TEST(HiraMc, PreventiveRcQueuesAndExecutes)
                 static_cast<double>(mc->stats().preventiveGenerated),
                 static_cast<double>(mc->stats().preventiveGenerated) *
                         0.2 + 80.0);
-    // The internal baseline REF engine still runs the periodic refresh.
-    ASSERT_NE(mc->baselineStats(), nullptr);
-    EXPECT_GT(mc->baselineStats()->refCommands, 10u);
+    // The internal baseline REF engine still runs the periodic refresh,
+    // and the scheme's own stats count its REF commands.
+    EXPECT_GT(mc->stats().refCommands, 10u);
+}
+
+TEST(HiraMc, PreventiveRcMirrorsRefCommandsIntoSystemStats)
+{
+    // Baseline+PARA(HiRA): periodic refresh stays on REF commands
+    // issued by HiRA-MC's internal baseline engine. The per-controller
+    // scheme.ref_commands mirror and the system-wide RefreshStats must
+    // agree, and count those REFs.
+    GeomSpec geom;
+    geom.channels = 2;
+    SchemeSpec scheme;
+    scheme.kind = SchemeKind::Baseline;
+    scheme.paraEnabled = true;
+    scheme.nrh = 64.0;
+    scheme.preventiveViaHira = true;
+    SystemConfig cfg = makeSystemConfig(
+        geom, scheme, {"mcf-like", "gcc-like", "lbm-like", "h264-like"},
+        7);
+    cfg.metricsLevel = MetricsLevel::Counters;
+    System sys(cfg);
+    sys.run(40000);
+    SystemResult r = sys.result();
+    MetricsSnapshot snap = sys.metricsSnapshot();
+    std::uint64_t mirrored = 0;
+    for (int ch = 0; ch < geom.channels; ++ch) {
+        mirrored +=
+            snap.values.at(strprintf("ctrl%d.scheme.ref_commands", ch))
+                .count;
+    }
+    EXPECT_GT(r.refresh.refCommands, 0u);
+    EXPECT_EQ(mirrored, r.refresh.refCommands);
 }
 
 TEST(HiraMc, PrFifoNeverExceedsDepthUnderLowNrhStress)

@@ -282,7 +282,7 @@ class EngineDiffFiles : public ::testing::Test
             e.mpki = classifyApki(1000.0 * prof.memPerInstr);
             entries.push_back(std::move(e));
         }
-        writeManifest(dir, entries, /*also_json=*/false);
+        writeManifest(dir, entries);
         files.push_back(dir + "/manifest.tsv");
     }
 

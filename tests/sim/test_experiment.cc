@@ -284,7 +284,7 @@ TEST(ExperimentSpec, WeightedSpeedupRejectsDegenerateAloneIpc)
 TEST(ExperimentSpec, RunPointsMatchesSerialMeanWsLoop)
 {
     // The sharded plan executor must be bitwise identical to the old
-    // serial per-point meanWs loop at the same seeds.
+    // serial per-point runPoints loop at the same seeds.
     BenchKnobs k;
     k.mixes = 2;
     k.cycles = 12000;
@@ -308,20 +308,19 @@ TEST(ExperimentSpec, RunPointsMatchesSerialMeanWsLoop)
     }
 
     SweepRunner serial(k);
-    std::vector<double> expect;
+    std::vector<PointResult> expect;
     for (const SweepPoint &p : plan)
-        expect.push_back(serial.meanWs(p.geom, p.scheme));
+        expect.push_back(serial.runPoints({p}).front());
 
     SweepRunner planned(k);
     std::vector<PointResult> got = planned.runPoints(plan);
     ASSERT_EQ(got.size(), plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        EXPECT_EQ(got[i].meanWs, expect[i]) << "point " << i;
-
-    // lastRefreshStats() reflects the final plan point, matching what
-    // a trailing meanWs call would have left behind.
-    EXPECT_EQ(planned.lastRefreshStats().rowRefreshes,
-              serial.lastRefreshStats().rowRefreshes);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        EXPECT_EQ(got[i].meanWs, expect[i].meanWs) << "point " << i;
+        EXPECT_EQ(got[i].refresh.rowRefreshes,
+                  expect[i].refresh.rowRefreshes)
+            << "point " << i;
+    }
 }
 
 TEST(ExperimentSpec, RunPointsEmptyPlanIsANoOp)

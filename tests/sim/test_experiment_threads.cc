@@ -56,10 +56,12 @@ TEST(SweepRunnerThreads, HiraMcMeanWsAndStatsIdenticalOneVsFourThreads)
     SchemeSpec s;
     s.kind = SchemeKind::HiraMc;
     s.slackN = 2;
-    EXPECT_EQ(serial.meanWs(g, s), pooled.meanWs(g, s));
+    PointResult one = serial.runPoints({SweepPoint{g, s}}).front();
+    PointResult four = pooled.runPoints({SweepPoint{g, s}}).front();
+    EXPECT_EQ(one.meanWs, four.meanWs);
 
-    const RefreshStats &a = serial.lastRefreshStats();
-    const RefreshStats &b = pooled.lastRefreshStats();
+    const RefreshStats &a = one.refresh;
+    const RefreshStats &b = four.refresh;
     EXPECT_EQ(a.refCommands, b.refCommands);
     EXPECT_EQ(a.rowRefreshes, b.rowRefreshes);
     EXPECT_EQ(a.accessPaired, b.accessPaired);

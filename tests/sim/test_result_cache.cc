@@ -3,13 +3,12 @@
  * Tests for the content-addressed result cache (sim/result_cache.hh):
  * golden cache-key strings (the cross-process contract between
  * SweepRunner processes sharing a directory), key sensitivity to every
- * behavior-affecting input, exact store/load round trips, LRU-front
- * behavior, read-mode, and rejection of stale/corrupt entries.
+ * behavior-affecting input, exact store/load round trips through the
+ * entry files, and rejection of stale/corrupt entries.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -32,12 +31,10 @@ class ResultCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        ::setenv("HIRA_CACHE_REV", "test", 1);
         ::setenv("HIRA_ENGINE", "event", 1);
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
-        ::unsetenv("HIRA_RESULT_CACHE_MODE");
         ::unsetenv("HIRA_CORPUS");
         Corpus::setActive(nullptr);
         std::string templ = "/tmp/hira_rcache.XXXXXX";
@@ -51,7 +48,6 @@ class ResultCacheTest : public ::testing::Test
     TearDown() override
     {
         Corpus::setActive(nullptr);
-        ::unsetenv("HIRA_CACHE_REV");
         ::unsetenv("HIRA_ENGINE");
         std::filesystem::remove_all(dir);
     }
@@ -149,7 +145,7 @@ TEST_F(ResultCacheTest, GoldenPointKey)
     SweepPoint p;
     EXPECT_EQ(p.cacheKey(knobs(), mixes()),
               "hira-point-v1\n"
-              "rev=test\n"
+              "rev=" + std::string(codeStamp()) + "\n"
               "geom=c8-ch1-rk1\n"
               "standard=ddr4_2400\n"
               "engine=event\n"
@@ -167,7 +163,7 @@ TEST_F(ResultCacheTest, GoldenAloneKey)
     GeomSpec g;
     EXPECT_EQ(aloneResultCacheKey("mcf-like", g, knobs()),
               "hira-alone-v1\n"
-              "rev=test\n"
+              "rev=" + std::string(codeStamp()) + "\n"
               "geom=c8-ch1-rk1\n"
               "standard=ddr4_2400\n"
               "engine=event\n"
@@ -177,18 +173,14 @@ TEST_F(ResultCacheTest, GoldenAloneKey)
               "bench=mcf-like\n");
 }
 
-TEST_F(ResultCacheTest, RevisionDefaultsToTheBuildsCodeStamp)
+TEST_F(ResultCacheTest, CodeStampIsAHexHash)
 {
     // The build hashes src/ into a 16-hex-digit stamp (see
-    // cmake/code_stamp.cmake); HIRA_CACHE_REV only overrides it.
+    // cmake/code_stamp.cmake); the golden keys above pin it as "rev=".
     const std::string stamp = codeStamp();
     EXPECT_EQ(stamp.size(), 16u);
     EXPECT_EQ(stamp.find_first_not_of("0123456789abcdef"),
               std::string::npos);
-    EXPECT_EQ(codeRevision(), "test");
-    ::unsetenv("HIRA_CACHE_REV");
-    EXPECT_EQ(codeRevision(), stamp);
-    ::setenv("HIRA_CACHE_REV", "test", 1);
 }
 
 TEST_F(ResultCacheTest, EveryInputChangesThePointKey)
@@ -220,10 +212,6 @@ TEST_F(ResultCacheTest, EveryInputChangesThePointKey)
     EXPECT_NE(p.cacheKey(knobs(), {{"mcf-like", "gcc-like"},
                                    {"mcf-like", "gcc-like"}}),
               base);
-
-    ::setenv("HIRA_CACHE_REV", "other", 1);
-    EXPECT_NE(p.cacheKey(knobs(), mixes()), base);
-    ::setenv("HIRA_CACHE_REV", "test", 1);
 
     ::setenv("HIRA_ENGINE", "cycle", 1);
     EXPECT_NE(p.cacheKey(knobs(), mixes()), base);
@@ -294,19 +282,17 @@ TEST_F(ResultCacheTest, PointRoundTripIsExact)
 {
     std::string key = SweepPoint().cacheKey(knobs(), mixes());
     PointResult stored = samplePoint();
-    {
-        ResultCache cache(dir, ResultCacheMode::ReadWrite);
-        cache.storePoint(key, stored);
-        EXPECT_EQ(cache.stats().writes, 1u);
-    }
-    // A FRESH instance (empty LRU): the round trip below is through
-    // the file bytes, not memory.
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
+    cache.storePoint(key, stored);
+    EXPECT_EQ(cache.stats().writes, 1u);
+    EXPECT_GT(cache.stats().bytesWritten, 0u);
+    // Every lookup reads the entry file: the round trip is through the
+    // file bytes, not memory.
     PointResult loaded;
     ASSERT_TRUE(cache.lookupPoint(key, loaded));
     expectEqualResults(loaded, stored);
     EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_GT(cache.stats().bytesRead, 0u);
+    EXPECT_EQ(cache.stats().bytesRead, cache.stats().bytesWritten);
 
     double ipc = 0.0;
     EXPECT_FALSE(cache.lookupAlone("no-such-key", ipc));
@@ -316,37 +302,12 @@ TEST_F(ResultCacheTest, PointRoundTripIsExact)
 TEST_F(ResultCacheTest, AloneRoundTripIsExact)
 {
     std::string key = aloneResultCacheKey("mcf-like", GeomSpec(), knobs());
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
     cache.storeAlone(key, 0.1 + 0.2);
-    ResultCache fresh(dir, ResultCacheMode::ReadWrite);
+    ResultCache fresh(dir);
     double ipc = 0.0;
     ASSERT_TRUE(fresh.lookupAlone(key, ipc));
     EXPECT_EQ(ipc, 0.1 + 0.2);
-}
-
-TEST_F(ResultCacheTest, LruFrontServesWithoutTheFile)
-{
-    std::string key = SweepPoint().cacheKey(knobs(), mixes());
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
-    cache.storePoint(key, samplePoint()); // store populates the LRU
-    ASSERT_EQ(std::remove(cache.pointPath(key).c_str()), 0);
-    PointResult out;
-    EXPECT_TRUE(cache.lookupPoint(key, out));
-    expectEqualResults(out, samplePoint());
-    // A fresh instance must miss: the file is gone.
-    ResultCache fresh(dir, ResultCacheMode::ReadWrite);
-    EXPECT_FALSE(fresh.lookupPoint(key, out));
-}
-
-TEST_F(ResultCacheTest, ReadModeNeverWrites)
-{
-    std::string key = SweepPoint().cacheKey(knobs(), mixes());
-    ResultCache cache(dir, ResultCacheMode::Read);
-    cache.storePoint(key, samplePoint());
-    EXPECT_EQ(cache.stats().writes, 0u);
-    EXPECT_FALSE(std::filesystem::exists(cache.pointPath(key)));
-    PointResult out;
-    EXPECT_FALSE(cache.lookupPoint(key, out));
 }
 
 TEST_F(ResultCacheTest, FromEnvHonorsKnobs)
@@ -357,18 +318,11 @@ TEST_F(ResultCacheTest, FromEnvHonorsKnobs)
     auto cache = ResultCache::fromEnv();
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->dir(), dir);
-    EXPECT_EQ(cache->mode(), ResultCacheMode::ReadWrite);
 
-    ::setenv("HIRA_RESULT_CACHE_MODE", "read", 1);
-    cache = ResultCache::fromEnv();
-    ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->mode(), ResultCacheMode::Read);
-
-    ::setenv("HIRA_RESULT_CACHE_MODE", "off", 1);
-    EXPECT_EQ(ResultCache::fromEnv(), nullptr);
+    ::setenv("HIRA_RESULT_CACHE", "", 1);
+    EXPECT_EQ(ResultCache::fromEnv(), nullptr); // empty means unset
 
     ::unsetenv("HIRA_RESULT_CACHE");
-    ::unsetenv("HIRA_RESULT_CACHE_MODE");
 }
 
 TEST_F(ResultCacheTest, StaleEntryIsRejectedOnKeyMismatch)
@@ -382,11 +336,11 @@ TEST_F(ResultCacheTest, StaleEntryIsRejectedOnKeyMismatch)
     b.scheme.kind = SchemeKind::HiraMc;
     std::string keyA = a.cacheKey(knobs(), mixes());
     std::string keyB = b.cacheKey(knobs(), mixes());
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
     cache.storePoint(keyA, samplePoint());
     std::filesystem::copy_file(cache.pointPath(keyA),
                                cache.pointPath(keyB));
-    ResultCache fresh(dir, ResultCacheMode::ReadWrite);
+    ResultCache fresh(dir);
     PointResult out;
     EXPECT_FALSE(fresh.lookupPoint(keyB, out));
     EXPECT_EQ(fresh.stats().stale, 1u);
@@ -397,7 +351,7 @@ TEST_F(ResultCacheTest, StaleEntryIsRejectedOnKeyMismatch)
 TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
 {
     std::string key = SweepPoint().cacheKey(knobs(), mixes());
-    ResultCache writer(dir, ResultCacheMode::ReadWrite);
+    ResultCache writer(dir);
     writer.storePoint(key, samplePoint());
     std::string path = writer.pointPath(key);
 
@@ -414,7 +368,7 @@ TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << bytes.substr(0, bytes.size() - 20);
     }
-    ResultCache truncated(dir, ResultCacheMode::ReadWrite);
+    ResultCache truncated(dir);
     PointResult out;
     EXPECT_FALSE(truncated.lookupPoint(key, out));
     EXPECT_EQ(truncated.stats().corrupt, 1u);
@@ -424,20 +378,20 @@ TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
         std::ofstream g(path, std::ios::binary | std::ios::trunc);
         g << "not a cache entry\n";
     }
-    ResultCache garbage(dir, ResultCacheMode::ReadWrite);
+    ResultCache garbage(dir);
     EXPECT_FALSE(garbage.lookupPoint(key, out));
     EXPECT_EQ(garbage.stats().corrupt, 1u);
 
     // And a rewrite repairs the slot.
     garbage.storePoint(key, samplePoint());
-    ResultCache repaired(dir, ResultCacheMode::ReadWrite);
+    ResultCache repaired(dir);
     EXPECT_TRUE(repaired.lookupPoint(key, out));
     expectEqualResults(out, samplePoint());
 }
 
 TEST_F(ResultCacheTest, MetricsSnapshotExposesCounters)
 {
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
     PointResult out;
     (void)cache.lookupPoint("nope", out);
     cache.storePoint("k", samplePoint());

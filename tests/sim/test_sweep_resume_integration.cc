@@ -1,15 +1,16 @@
 /**
  * @file
- * Kill -9 resume of a cached sweep: the result cache commits every
- * point runPoints() completes by atomic rename, so a sweep killed
+ * Kill -9 resume of a cached sweep: runPoints() commits each point by
+ * atomic rename as soon as its last mix finishes, so a sweep killed
  * mid-plan leaves exactly its finished points behind, and rerunning
  * the same plan against the same HIRA_RESULT_CACHE directory serves
  * those from disk and simulates only the rest.
  *
  * A forked child runs a 6-point plan through a plain SweepRunner (the
- * cache comes from the environment), one point per runPoints() call as
- * a driver sweeping with meanWs() does, and is sent SIGKILL once the
- * first .point entry appears. The parent then checks that the rerun
+ * cache comes from the environment) as ONE runPoints() call, as a
+ * SweepGrid driver does, and is sent SIGKILL once the first .point
+ * entry appears. The kill must land mid-plan: at least one point and
+ * not all of them committed. The parent then checks that the rerun
  * serves exactly the committed points, simulates the remainder,
  * matches an uncached run bitwise, and that a third, warm pass
  * simulates nothing.
@@ -106,12 +107,10 @@ expectBitwiseEqual(const std::vector<PointResult> &got,
 TEST(SweepResume, KilledSweepResumesFromCommittedPoints)
 {
     // Pin every environment input of the cache key.
-    ::setenv("HIRA_CACHE_REV", "test", 1);
     ::setenv("HIRA_ENGINE", "event", 1);
     ::unsetenv("HIRA_METRICS");
     ::unsetenv("HIRA_STANDARD");
     ::unsetenv("HIRA_CORPUS");
-    ::unsetenv("HIRA_RESULT_CACHE_MODE");
     ::unsetenv("HIRA_RESULT_CACHE");
     std::string templ = "/tmp/hira_resume.XXXXXX";
     std::vector<char> buf(templ.begin(), templ.end());
@@ -134,9 +133,8 @@ TEST(SweepResume, KilledSweepResumesFromCommittedPoints)
     ASSERT_GE(child, 0);
     if (child == 0) {
         SweepRunner runner(planKnobs(), planMixes());
-        for (const SweepPoint &p : plan)
-            runner.runPoints({p});
-        ::_exit(runner.pointsSimulated() == plan.size() ? 0 : 3);
+        runner.runPoints(plan);
+        ::_exit(0);
     }
 
     // SIGKILL the child as soon as its first point is on disk.
@@ -151,14 +149,9 @@ TEST(SweepResume, KilledSweepResumesFromCommittedPoints)
     ASSERT_EQ(::waitpid(child, &status, 0), child);
     const std::size_t committed = committedPoints(dir);
     ASSERT_GE(committed, 1u) << "no point was committed before the kill";
-    if (WIFEXITED(status)) {
-        // The whole plan finished before the signal landed: the resume
-        // below then degenerates to a warm pass, which still holds.
-        EXPECT_EQ(WEXITSTATUS(status), 0);
-        EXPECT_EQ(committed, plan.size());
-    } else {
-        EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
-    }
+    ASSERT_LT(committed, plan.size())
+        << "every point was committed before the kill";
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
     std::printf("killed after %zu of %zu points\n", committed,
                 plan.size());
 
@@ -178,7 +171,6 @@ TEST(SweepResume, KilledSweepResumesFromCommittedPoints)
     expectBitwiseEqual(warmOut, want);
 
     ::unsetenv("HIRA_RESULT_CACHE");
-    ::unsetenv("HIRA_CACHE_REV");
     ::unsetenv("HIRA_ENGINE");
     std::filesystem::remove_all(dir);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the trace-corpus manifest layer
- * (src/workload/corpus.hh): TSV and JSON parsing with diagnostics,
+ * (src/workload/corpus.hh): manifest parsing with diagnostics,
  * validation (missing files, duplicates), "corpus:" spec resolution,
  * intensity-binned mix building, and alone-IPC prior lookup.
  */
@@ -104,7 +104,7 @@ TEST_F(CorpusTest, TsvManifestRoundTrips)
     entries[1].format = TraceFormat::Binary;
     entries[1].instructions = 2000;
     entries[1].mpki = MpkiClass::Low;
-    writeManifest(dir, entries, /*also_json=*/false);
+    writeManifest(dir, entries);
     path("manifest.tsv");
 
     Corpus c = Corpus::load(dir);
@@ -123,36 +123,6 @@ TEST_F(CorpusTest, TsvManifestRoundTrips)
     EXPECT_EQ(b.spec(), "corpus:beta");
 }
 
-TEST_F(CorpusTest, JsonManifestRoundTrips)
-{
-    writeTrace("a.trace", TraceFormat::Text);
-    writeTrace("b.bin", TraceFormat::Binary);
-    std::vector<CorpusEntry> entries(2);
-    entries[0].name = "alpha";
-    entries[0].file = "a.trace";
-    entries[0].format = TraceFormat::Text;
-    entries[0].instructions = 2000;
-    entries[0].mpki = MpkiClass::Medium;
-    entries[0].aloneIpc = 1.0000000000000002; // 1 + 1 ulp
-    entries[1].name = "beta";
-    entries[1].file = "b.bin";
-    entries[1].format = TraceFormat::Binary;
-    entries[1].instructions = 2000;
-    entries[1].mpki = MpkiClass::Low;
-    writeManifest(dir, entries, /*also_json=*/true);
-    // Remove the TSV so the JSON flavor is what gets parsed.
-    ::unlink((dir + "/manifest.tsv").c_str());
-    path("manifest.json");
-
-    Corpus c = Corpus::load(dir);
-    ASSERT_EQ(c.size(), 2u);
-    EXPECT_EQ(c.at("alpha").mpki, MpkiClass::Medium);
-    EXPECT_EQ(c.at("alpha").aloneIpc, entries[0].aloneIpc);
-    EXPECT_EQ(c.at("alpha").instructions, 2000u);
-    EXPECT_FALSE(c.at("beta").hasAloneIpc());
-    EXPECT_EQ(c.at("beta").format, TraceFormat::Binary);
-}
-
 TEST_F(CorpusTest, HandWrittenManifestsParse)
 {
     writeTrace("t.trace", TraceFormat::Text);
@@ -165,24 +135,12 @@ TEST_F(CorpusTest, HandWrittenManifestsParse)
     ASSERT_EQ(c.size(), 2u);
     EXPECT_EQ(c.at("mcf").aloneIpc, 0.5);
     EXPECT_EQ(c.at("gcc").mpki, MpkiClass::Medium);
-
-    ::unlink((dir + "/manifest.tsv").c_str());
-    writeFile("manifest.json",
-              "{\"version\": 1, \"traces\": [\n"
-              "  {\"name\": \"lbm\", \"file\": \"t.trace\",\n"
-              "   \"class\": \"L\", \"alone_ipc\": null}\n"
-              "]}\n");
-    Corpus j = Corpus::load(dir);
-    ASSERT_EQ(j.size(), 1u);
-    EXPECT_EQ(j.at("lbm").mpki, MpkiClass::Low);
-    EXPECT_FALSE(j.at("lbm").hasAloneIpc());
-    EXPECT_EQ(j.at("lbm").format, TraceFormat::Text); // default
 }
 
 TEST_F(CorpusTest, MissingManifestIsFatal)
 {
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "neither manifest.tsv nor manifest.json");
+                "has no manifest.tsv");
 }
 
 TEST_F(CorpusTest, MalformedTsvDiagnosesFileAndLine)
@@ -213,33 +171,6 @@ TEST_F(CorpusTest, BadTsvFieldsAreFatal)
                 "trailing garbage");
 }
 
-TEST_F(CorpusTest, MalformedJsonIsFatal)
-{
-    writeTrace("t.trace", TraceFormat::Text);
-    writeFile("manifest.json", "{\"traces\": [{\"name\": \"x\",]}");
-    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "invalid JSON");
-    writeFile("manifest.json", "{\"version\": 1}");
-    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "needs a \"traces\" array");
-    writeFile("manifest.json",
-              "{\"traces\": [{\"file\": \"t.trace\", \"class\": \"H\"}]}");
-    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "traces\\[0\\]: missing \"name\"");
-    writeFile("manifest.json",
-              "{\"traces\": [{\"name\": \"x\", \"file\": \"t.trace\", "
-              "\"class\": \"H\", \"alone_ipc\": -1}]}");
-    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "alone_ipc");
-    // Out-of-uint64-range instruction counts would make the
-    // double -> integer cast undefined; they must die cleanly.
-    writeFile("manifest.json",
-              "{\"traces\": [{\"name\": \"x\", \"file\": \"t.trace\", "
-              "\"class\": \"H\", \"instructions\": 1e30}]}");
-    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "instructions");
-}
-
 TEST_F(CorpusTest, MissingTraceFileIsFatal)
 {
     writeFile("manifest.tsv", "ghost nope.trace text 1000 H -\n");
@@ -249,9 +180,9 @@ TEST_F(CorpusTest, MissingTraceFileIsFatal)
 
 TEST_F(CorpusTest, NonRoundTrippableFieldsAreFatal)
 {
-    // Names/files with whitespace, '#', '"', or '\' would produce a
-    // manifest the readers mis-parse: both the writer and the loader
-    // must reject them up front.
+    // Names/files with whitespace or '#' would produce a manifest the
+    // reader mis-parses: both the writer and the loader must reject
+    // them up front.
     writeTrace("t.trace", TraceFormat::Text);
     std::vector<CorpusEntry> entries(1);
     entries[0].name = "my trace";
@@ -259,13 +190,12 @@ TEST_F(CorpusTest, NonRoundTrippableFieldsAreFatal)
     EXPECT_EXIT(writeManifest(dir, entries),
                 ::testing::ExitedWithCode(1), "cannot round-trip");
     entries[0].name = "ok";
-    entries[0].file = "weird\"name.trace";
+    entries[0].file = "weird#name.trace";
     EXPECT_EXIT(writeManifest(dir, entries),
                 ::testing::ExitedWithCode(1), "cannot round-trip");
-    // A JSON manifest can encode such a name; loading must reject it.
-    writeFile("manifest.json",
-              "{\"traces\": [{\"name\": \"a#b\", \"file\": "
-              "\"t.trace\", \"class\": \"H\"}]}");
+    // The loader applies the same check, so a hand-written manifest
+    // cannot hold a name the writer would refuse.
+    writeFile("manifest.tsv", "a#b t.trace text 1000 H -\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
                 "cannot round-trip");
 }

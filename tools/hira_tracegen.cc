@@ -58,7 +58,6 @@ struct Options
     std::int64_t aloneCycles = 150000;
     std::int64_t aloneWarmup = 30000;
     bool aloneIpc = true;
-    bool json = true;
 };
 
 void
@@ -84,8 +83,7 @@ usage(const char *argv0)
         "                         reference run (default 150000)\n"
         "  --alone-warmup <n>     its warmup bus cycles (default 30000)\n"
         "  --no-alone-ipc         skip the reference runs (manifest\n"
-        "                         carries '-'; sweeps then measure)\n"
-        "  --no-json              write only manifest.tsv\n",
+        "                         carries '-'; sweeps then measure)\n",
         argv0);
 }
 
@@ -169,8 +167,6 @@ parseArgs(int argc, char **argv)
                 parseU64(value(i, "--alone-warmup"), "--alone-warmup"));
         } else if (arg == "--no-alone-ipc") {
             opt.aloneIpc = false;
-        } else if (arg == "--no-json") {
-            opt.json = false;
         } else {
             fatal("unknown option '%s' (see --help)", arg.c_str());
         }
@@ -311,10 +307,9 @@ main(int argc, char **argv)
             static_cast<long long>(opt.aloneCycles),
             static_cast<long long>(opt.aloneWarmup));
     }
-    writeManifest(opt.out, entries, opt.json, comment);
+    writeManifest(opt.out, entries, comment);
 
-    std::printf("wrote %zu traces + manifest.tsv%s to %s\n",
-                entries.size(), opt.json ? " + manifest.json" : "",
+    std::printf("wrote %zu traces + manifest.tsv to %s\n", entries.size(),
                 opt.out.c_str());
     for (const CorpusEntry &e : entries) {
         std::printf("  %-20s %-6s %8llu instrs  class %c  alone-IPC %s\n",
