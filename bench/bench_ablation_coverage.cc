@@ -41,8 +41,7 @@ main()
     grid.run(runner);
     double ws_base = grid.ws(base_id);
 
-    std::printf("%-12s %14s %16s\n", "isolation", "WS/Baseline",
-                "access-paired");
+    seriesHeader("isolation", {"WS/Baseline", "access-paired %"});
     for (std::size_t i = 0; i < isolations.size(); ++i) {
         double ws = grid.ws(ids[i]);
         const RefreshStats &rs = grid.at(ids[i]).refresh;
@@ -51,9 +50,8 @@ main()
                 ? 0.0
                 : static_cast<double>(rs.accessPaired) /
                       static_cast<double>(rs.rowRefreshes);
-        std::printf("%-12s %14.3f %15.1f%%\n",
-                    strprintf("%.0f %%", 100.0 * isolations[i]).c_str(),
-                    ws / ws_base, 100.0 * paired);
+        seriesRow(strprintf("%.0f %%", 100.0 * isolations[i]),
+                  {ws / ws_base, 100.0 * paired});
     }
     footer();
     return 0;

@@ -60,10 +60,9 @@ main()
     double ws_ideal = grid.ws(ideal_id);
     double ws_base = grid.ws(base_id);
 
-    std::printf("%-20s %14s %14s %16s\n", "variant", "WS/NoRefresh",
-                "WS/Baseline", "paired fraction");
-    std::printf("%-20s %14.3f %14s %16s\n", "Baseline (REF)",
-                ws_base / ws_ideal, "1.000", "-");
+    seriesHeader("variant",
+                 {"WS/NoRefresh", "WS/Baseline", "paired fraction %"});
+    seriesRow("Baseline (REF)", {ws_base / ws_ideal, 1.0});
     for (std::size_t i = 0; i < ids.size(); ++i) {
         double ws = grid.ws(ids[i]);
         const RefreshStats &rs = grid.at(ids[i]).refresh;
@@ -73,8 +72,8 @@ main()
                 : static_cast<double>(rs.accessPaired +
                                       rs.refreshPaired) /
                       static_cast<double>(rs.rowRefreshes);
-        std::printf("%-20s %14.3f %14.3f %15.1f%%\n", variants[i].name,
-                    ws / ws_ideal, ws / ws_base, 100.0 * paired);
+        seriesRow(variants[i].name,
+                  {ws / ws_ideal, ws / ws_base, 100.0 * paired});
     }
     note("who wins: full HiRA-MC; each pairing mechanism independently "
          "recovers part of the gap between standalone per-row refresh "

@@ -41,8 +41,8 @@ main()
     grid.run(runner);
     double ws_base = grid.ws(base_id);
 
-    std::printf("%-12s %14s %16s %16s\n", "tRefSlack", "WS/Baseline",
-                "access-paired", "deadline misses");
+    seriesHeader("tRefSlack",
+                 {"WS/Baseline", "access-paired %", "deadline misses"});
     for (std::size_t i = 0; i < slacks.size(); ++i) {
         const RefreshStats &rs = grid.at(ids[i]).refresh;
         double paired =
@@ -50,10 +50,9 @@ main()
                 ? 0.0
                 : static_cast<double>(rs.accessPaired) /
                       static_cast<double>(rs.rowRefreshes);
-        std::printf("%-12s %14.3f %15.1f%% %16llu\n",
-                    strprintf("%d tRC", slacks[i]).c_str(),
-                    grid.ws(ids[i]) / ws_base, 100.0 * paired,
-                    static_cast<unsigned long long>(rs.deadlineMisses));
+        seriesRow(strprintf("%d tRC", slacks[i]),
+                  {grid.ws(ids[i]) / ws_base, 100.0 * paired,
+                   static_cast<double>(rs.deadlineMisses)});
     }
     footer();
     return 0;

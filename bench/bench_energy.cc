@@ -28,8 +28,8 @@ main()
     const Cycle warm = static_cast<Cycle>(knobs.warmup);
     const Cycle run = static_cast<Cycle>(knobs.cycles);
 
-    std::printf("%-8s %-10s %14s %14s %14s %14s\n", "chip", "scheme",
-                "refresh uJ", "total uJ", "refresh %", "rows/REFs");
+    seriesHeader("chip scheme",
+                 {"refresh uJ", "total uJ", "refresh %", "rows/REFs"});
     for (double cap : {8.0, 32.0, 128.0}) {
         GeomSpec g;
         g.capacityGb = cap;
@@ -46,13 +46,12 @@ main()
                 runOne(makeSystemConfig(g, s, mix, 5), warm, run);
             EnergyBreakdown e = em.attribute(
                 r.sys.controller, r.sys.refresh, 1, warm + run);
-            std::printf("%-8s %-10s %14.2f %14.2f %13.1f%% %14llu\n",
-                        strprintf("%.0fGb", cap).c_str(), label,
-                        e.refreshNj / 1000.0, e.totalNj() / 1000.0,
-                        100.0 * e.refreshNj / e.totalNj(),
-                        static_cast<unsigned long long>(
-                            r.sys.refresh.rowRefreshes +
-                            r.sys.refresh.refCommands));
+            seriesRow(strprintf("%.0fGb %s", cap, label),
+                      {e.refreshNj / 1000.0, e.totalNj() / 1000.0,
+                       100.0 * e.refreshNj / e.totalNj(),
+                       static_cast<double>(r.sys.refresh.rowRefreshes +
+                                           r.sys.refresh.refCommands)},
+                      "%9.2f");
         }
     }
     note("HiRA's per-row energy stays within the same order as REF's "

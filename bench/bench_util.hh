@@ -281,9 +281,6 @@ writeJson()
                         f, "%llu",
                         static_cast<unsigned long long>(v.count));
                     break;
-                  case MetricValue::Kind::Gauge:
-                    std::fprintf(f, "%s", jsonNumber(v.value).c_str());
-                    break;
                   case MetricValue::Kind::Histogram:
                     std::fprintf(
                         f,
@@ -531,12 +528,6 @@ paraSchemeLabel(int slack)
  * output and the JSON artifact), else the generated synthetic mixes.
  * Pass the result to the explicit-mixes SweepRunner constructor; call
  * after banner() so the corpus note lands in the capture.
- *
- * HIRA_CORPUS_ONCE=1 switches corpus mixes to fixed-work mode: every
- * spec gets the "?once" suffix, so each core executes its trace once
- * and then idles on non-memory instructions instead of looping. This
- * is the standard run-N-instructions trace methodology, and its long
- * idle tails are where the event engine's skip-ahead pays off most.
  */
 inline std::vector<WorkloadMix>
 mixesFromEnv(const BenchKnobs &k)
@@ -551,15 +542,7 @@ mixesFromEnv(const BenchKnobs &k)
         priors += e.hasAloneIpc() ? 1 : 0;
     note(strprintf("corpus: %s (%zu traces, %zu with alone-IPC priors)",
                    corpus->dir().c_str(), corpus->size(), priors));
-    std::vector<WorkloadMix> mixes =
-        makeCorpusMixes(k.mixes, k.cores, *corpus);
-    if (envKnob("HIRA_CORPUS_ONCE", 0) != 0) {
-        note("corpus mixes run in fixed-work (?once) mode");
-        for (WorkloadMix &mix : mixes)
-            for (std::string &spec : mix)
-                spec += "?once";
-    }
-    return mixes;
+    return makeCorpusMixes(k.mixes, k.cores, *corpus);
 }
 
 /**

@@ -24,21 +24,6 @@ envKnob(const std::string &name, std::int64_t fallback)
     return parsed;
 }
 
-double
-envKnobDouble(const std::string &name, double fallback)
-{
-    const char *v = std::getenv(name.c_str());
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v) {
-        warn("ignoring unparsable env knob %s=%s", name.c_str(), v);
-        return fallback;
-    }
-    return parsed;
-}
-
 namespace {
 
 /** Clamp a scale knob into [floor, ceiling]; zero mixes or cycles would

@@ -17,9 +17,6 @@ namespace hira {
 /** Integer knob: $name from the environment, or fallback. */
 std::int64_t envKnob(const std::string &name, std::int64_t fallback);
 
-/** Floating-point knob. */
-double envKnobDouble(const std::string &name, double fallback);
-
 /** Bench-scale knobs used across all harnesses. */
 struct BenchKnobs
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Numerics helpers for the PARA security analysis (log-space summation of
- * astronomically small probabilities) and general utilities.
+ * Numerics helper for the PARA security analysis (log-space summation of
+ * astronomically small probabilities).
  */
 
 #ifndef HIRA_COMMON_MATHUTIL_HH
@@ -9,22 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 namespace hira {
-
-/** log(exp(a) + exp(b)) without overflow/underflow. */
-inline double
-logAddExp(double a, double b)
-{
-    if (a == -std::numeric_limits<double>::infinity())
-        return b;
-    if (b == -std::numeric_limits<double>::infinity())
-        return a;
-    double hi = a > b ? a : b;
-    double lo = a > b ? b : a;
-    return hi + std::log1p(std::exp(lo - hi));
-}
 
 /**
  * log of the geometric series sum_{i=0}^{n} r^i given log(r) < 0.
@@ -39,22 +25,6 @@ logGeometricSum(double log_r, std::uint64_t n)
     double log_num = std::log1p(-std::exp(log_rn1));
     double log_den = std::log1p(-std::exp(log_r));
     return log_num - log_den;
-}
-
-/** Integer ceil division for unsigned types. */
-template <typename T>
-constexpr T
-ceilDiv(T num, T den)
-{
-    return (num + den - 1) / den;
-}
-
-/** True if |a - b| <= tol * max(1, |a|, |b|). */
-inline bool
-approxEqual(double a, double b, double tol)
-{
-    double scale = std::fmax(1.0, std::fmax(std::fabs(a), std::fabs(b)));
-    return std::fabs(a - b) <= tol * scale;
 }
 
 } // namespace hira

@@ -70,8 +70,6 @@ MetricsSnapshot::diff(const MetricsSnapshot &base) const
               case MetricValue::Kind::Counter:
                 v.count -= b.count;
                 break;
-              case MetricValue::Kind::Gauge:
-                break; // gauges are point-in-time: keep the newer value
               case MetricValue::Kind::Histogram:
                 hira_assert(b.bins.size() == v.bins.size() &&
                             b.lo == v.lo && b.hi == v.hi);
@@ -103,9 +101,6 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
           case MetricValue::Kind::Counter:
             v.count += o.count;
             break;
-          case MetricValue::Kind::Gauge:
-            v.value += o.value;
-            break;
           case MetricValue::Kind::Histogram:
             hira_assert(v.bins.size() == o.bins.size() && v.lo == o.lo &&
                         v.hi == o.hi);
@@ -129,17 +124,6 @@ MetricRegistry::counter(const std::string &name)
     if (it == counters_.end()) {
         it = counters_.emplace(name, std::make_unique<Counter>()).first;
     }
-    return it->second.get();
-}
-
-Gauge *
-MetricRegistry::gauge(const std::string &name)
-{
-    if (level_ == MetricsLevel::Off)
-        return nullptr;
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
     return it->second.get();
 }
 
@@ -167,12 +151,6 @@ MetricRegistry::snapshot() const
         MetricValue v;
         v.kind = MetricValue::Kind::Counter;
         v.count = kv.second->value;
-        snap.values.emplace(kv.first, std::move(v));
-    }
-    for (const auto &kv : gauges_) {
-        MetricValue v;
-        v.kind = MetricValue::Kind::Gauge;
-        v.value = kv.second->value;
         snap.values.emplace(kv.first, std::move(v));
     }
     for (const auto &kv : histograms_) {

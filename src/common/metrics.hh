@@ -1,7 +1,7 @@
 /**
  * @file
  * Hierarchical metrics registry in the spirit of gem5's per-SimObject
- * stats: named counters, gauges, and fixed-bin histograms grouped per
+ * stats: named counters and fixed-bin histograms grouped per
  * component instance (`ctrl0.bank3.reads`, `ctrl0.scheme.pr_fifo_depth`,
  * `llc.hits`, `core2.ff_ticks`, `kernel.skip_len`, ...), with
  * snapshot / diff / merge so sweep executors can aggregate per-mix
@@ -36,7 +36,7 @@ namespace hira {
 /**
  * Instrumentation level, from the HIRA_METRICS environment variable.
  * `off` registers nothing (every metric pointer is nullptr),
- * `counters` enables counters and gauges, `full` adds histograms.
+ * `counters` enables counters, `full` adds histograms.
  */
 enum class MetricsLevel
 {
@@ -59,12 +59,6 @@ const char *metricsLevelName(MetricsLevel level);
 struct Counter
 {
     std::uint64_t value = 0;
-};
-
-/** Point-in-time value (published, not accumulated). */
-struct Gauge
-{
-    double value = 0.0;
 };
 
 /**
@@ -100,13 +94,6 @@ count(Counter *c, std::uint64_t n = 1)
 }
 
 inline void
-setGauge(Gauge *g, double v)
-{
-    if (g != nullptr)
-        g->value = v;
-}
-
-inline void
 observe(HistogramMetric *h, double x)
 {
     if (h != nullptr)
@@ -119,13 +106,12 @@ struct MetricValue
     enum class Kind
     {
         Counter,
-        Gauge,
         Histogram,
     };
 
     Kind kind = Kind::Counter;
     std::uint64_t count = 0; //!< counter value / histogram sample count
-    double value = 0.0;      //!< gauge value / histogram sample sum
+    double value = 0.0;      //!< histogram sample sum
     double lo = 0.0, hi = 0.0;        //!< histogram bounds
     std::vector<std::uint64_t> bins;  //!< histogram bin counts
 };
@@ -142,18 +128,16 @@ struct MetricsSnapshot
 
     /**
      * This snapshot minus @p base: counters and histogram bins
-     * subtract (names missing from @p base keep their full value),
-     * gauges keep this snapshot's value. Used to scope metrics to the
+     * subtract (names missing from @p base keep their full value).
+     * Used to scope metrics to the
      * measurement interval (runOne diffs the post-warmup snapshot
      * away). Histogram shapes must match; panics otherwise.
      */
     MetricsSnapshot diff(const MetricsSnapshot &base) const;
 
     /**
-     * Accumulate @p other into this snapshot: counters, histogram
-     * bins, and gauges all add (so gauges merged across runs are sums
-     * — publish additive quantities, or per-run snapshots, not
-     * averages). Kinds and histogram shapes of shared names must
+     * Accumulate @p other into this snapshot: counters and histogram
+     * bins add. Kinds and histogram shapes of shared names must
      * match; panics otherwise.
      */
     void merge(const MetricsSnapshot &other);
@@ -174,7 +158,6 @@ class MetricRegistry
 
     /** nullptr when the registry is Off. */
     Counter *counter(const std::string &name);
-    Gauge *gauge(const std::string &name);
 
     /** nullptr below MetricsLevel::Full. */
     HistogramMetric *histogram(const std::string &name, double lo,
@@ -185,7 +168,6 @@ class MetricRegistry
   private:
     MetricsLevel level_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
 
@@ -215,12 +197,6 @@ class MetricScope
     counter(const std::string &name) const
     {
         return reg != nullptr ? reg->counter(prefix_ + name) : nullptr;
-    }
-
-    Gauge *
-    gauge(const std::string &name) const
-    {
-        return reg != nullptr ? reg->gauge(prefix_ + name) : nullptr;
     }
 
     HistogramMetric *

@@ -136,23 +136,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Standard normal via Box-Muller (one value per call, no caching). */
-    double
-    gaussian()
-    {
-        double u1 = 1.0 - uniform(); // (0, 1]
-        double u2 = uniform();
-        return std::sqrt(-2.0 * std::log(u1)) *
-               std::cos(2.0 * M_PI * u2);
-    }
-
-    /** Normal with the given mean and standard deviation. */
-    double
-    gaussian(double mean, double sigma)
-    {
-        return mean + sigma * gaussian();
-    }
-
   private:
     static constexpr std::uint64_t
     rotl(std::uint64_t x, int k)

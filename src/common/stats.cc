@@ -26,18 +26,6 @@ SampleSet::mean() const
 }
 
 double
-SampleSet::stddev() const
-{
-    if (samples.size() < 2)
-        return 0.0;
-    double m = mean();
-    double ss = 0.0;
-    for (double x : samples)
-        ss += (x - m) * (x - m);
-    return std::sqrt(ss / static_cast<double>(samples.size() - 1));
-}
-
-double
 SampleSet::min() const
 {
     hira_assert(!samples.empty());

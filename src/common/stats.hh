@@ -52,7 +52,6 @@ class SampleSet
     const std::vector<double> &values() const { return samples; }
 
     double mean() const;
-    double stddev() const;
     double min() const;
     double max() const;
 

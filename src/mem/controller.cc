@@ -104,12 +104,6 @@ MemoryController::readQueueFull() const
 }
 
 bool
-MemoryController::writeQueueFull() const
-{
-    return writeQ.full();
-}
-
-bool
 MemoryController::enqueue(const Request &req)
 {
     hira_assert(req.da.channel == channel);

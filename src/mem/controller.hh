@@ -160,7 +160,6 @@ class MemoryController
     std::vector<Completion> &completions() { return completions_; }
 
     bool readQueueFull() const;
-    bool writeQueueFull() const;
     std::size_t queuedReads() const { return readQ.size(); }
     std::size_t queuedWrites() const { return writeQ.size(); }
     /** The demand queues with their per-bank index (read-only). */
@@ -210,7 +209,6 @@ class MemoryController
      * slots).
      */
     std::vector<Command> trace() const;
-    int channelId() const { return channel; }
 
     /** True if the bank is withheld from demand scheduling. */
     bool bankBlocked(int rank, BankId bank) const;

@@ -41,12 +41,6 @@ BaselineRefresh::tick(Cycle now)
             continue;
         }
 
-        // Elastic postponement [161]: while demand reads are queued and
-        // the debt is within the standard's bound, defer the REF.
-        bool must = debt[ri] > maxPostpone;
-        if (!must && ctrl->queuedReads() > 0 && !closing[ri])
-            continue;
-
         // REF is due: hold new activations, drain open banks, issue.
         if (!closing[ri]) {
             closing[ri] = true;
@@ -71,21 +65,11 @@ BaselineRefresh::nextEventCycle(Cycle now) const
     const Geometry &geom = ctrl->geometry();
     for (int r = 0; r < geom.ranksPerChannel; ++r) {
         std::size_t ri = static_cast<std::size_t>(r);
-        if (closing[ri])
-            return now + 1; // actively draining banks toward a REF
-        if (debt[ri] > 0) {
-            // After an un-gated tick, a standing debt means the REF is
-            // being postponed (reads queued, within the bound). The
-            // postponement can end two ways: the read queue drains —
-            // an issue event, after which the controller polls densely
-            // anyway — or the debt crosses the bound at the next
-            // accrual. Ticks gated by a reserved HiRA bus slot can
-            // also leave debt standing with an empty read queue; then
-            // the scheme wants to act as soon as the gate lifts.
-            bool must = debt[ri] > maxPostpone;
-            if (must || ctrl->queuedReads() == 0)
-                return now + 1;
-        }
+        // Draining banks toward a REF, or a REF that could not issue
+        // yet (e.g. a tick gated by a reserved HiRA bus slot): act as
+        // soon as possible.
+        if (closing[ri] || debt[ri] > 0)
+            return now + 1;
         if (nextRefAt[ri] < wake)
             wake = nextRefAt[ri]; // next debt accrual instant
     }

@@ -123,32 +123,23 @@ class NoRefresh final : public RefreshScheme
 
 /**
  * Conventional rank-level refresh: one all-bank REF per rank every
- * tREFI, rank offsets staggered; blocks the rank for tRFC.
- *
- * With @p max_postpone > 0 it behaves like Elastic Refresh [161] within
- * the DDR4 postponement rules: a due REF is deferred while demand reads
- * are queued, up to max_postpone (the standard allows 8) outstanding
- * REFs, after which it is forced.
+ * tREFI, rank offsets staggered; blocks the rank for tRFC. A REF that
+ * cannot issue when due stays owed in a per-rank debt counter and is
+ * caught up as soon as the rank allows.
  */
 class BaselineRefresh final : public RefreshScheme
 {
   public:
-    explicit BaselineRefresh(int max_postpone = 0)
-        : maxPostpone(max_postpone)
-    {
-    }
-
     void attach(MemoryController *ctrl) override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
 
-    /** Currently postponed REFs on the rank (test hook). */
+    /** REFs due but not yet issued on the rank (test hook). */
     int debtOf(int rank) const { return debt[rank]; }
 
   private:
-    int maxPostpone;
     std::vector<Cycle> nextRefAt; //!< per rank
-    std::vector<int> debt;        //!< postponed REFs per rank
+    std::vector<int> debt;        //!< due, not yet issued REFs per rank
     std::vector<bool> closing;    //!< draining banks ahead of a due REF
 };
 

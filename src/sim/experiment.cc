@@ -82,11 +82,13 @@ SchemeSpec::seedKey() const
     // %.17g round-trips doubles exactly, so the key (and with it the
     // golden seeds) is platform-independent. The registry appends the
     // scheme-specific knobs the base key does not cover (empty for the
-    // pre-registry schemes, preserving their golden seeds).
-    return strprintf("k%d-n%d-post%d-pvh%d-para%d-nrh%.17g-prev%d-"
+    // pre-registry schemes, preserving their golden seeds). The fixed
+    // "-post0-pvh1-" segment keeps the golden seeds of the deleted
+    // refresh-postponement and periodic-via-HiRA knobs' only values.
+    return strprintf("k%d-n%d-post0-pvh1-para%d-nrh%.17g-prev%d-"
                      "ap%d-rp%d-pull%d-spt%.17g",
-                     static_cast<int>(kind), slackN, refPostpone,
-                     periodicViaHira ? 1 : 0, paraEnabled ? 1 : 0, nrh,
+                     static_cast<int>(kind), slackN,
+                     paraEnabled ? 1 : 0, nrh,
                      preventiveViaHira ? 1 : 0, accessPairing ? 1 : 0,
                      refreshPairing ? 1 : 0, pullAhead ? 1 : 0,
                      sptIsolation) +

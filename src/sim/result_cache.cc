@@ -131,10 +131,6 @@ renderEntry(const std::string &key, bool is_point,
             out += strprintf("c %s %llu\n", name.c_str(),
                              static_cast<unsigned long long>(v.count));
             break;
-          case MetricValue::Kind::Gauge:
-            out += strprintf("g %s %s\n", name.c_str(),
-                             hexDouble(v.value).c_str());
-            break;
           case MetricValue::Kind::Histogram:
             out += strprintf("h %s %llu %s %s %s %zu", name.c_str(),
                              static_cast<unsigned long long>(v.count),
@@ -240,10 +236,6 @@ parsePayload(EntryCursor &cur, bool is_point, PointResult &point,
         if (kind == "c") {
             v.kind = MetricValue::Kind::Counter;
             if (!(in >> tok) || !parseU64(tok, v.count))
-                return false;
-        } else if (kind == "g") {
-            v.kind = MetricValue::Kind::Gauge;
-            if (!(in >> tok) || !parseDouble(tok, v.value))
                 return false;
         } else if (kind == "h") {
             v.kind = MetricValue::Kind::Histogram;

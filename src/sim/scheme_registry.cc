@@ -19,9 +19,9 @@ makeNoRefresh(const SystemConfig &)
 }
 
 std::unique_ptr<RefreshScheme>
-makeBaseline(const SystemConfig &cfg)
+makeBaseline(const SystemConfig &)
 {
-    return std::make_unique<BaselineRefresh>(cfg.refPostpone);
+    return std::make_unique<BaselineRefresh>();
 }
 
 std::unique_ptr<RefreshScheme>
@@ -52,7 +52,6 @@ void
 configurePlain(SystemConfig &cfg, const SchemeSpec &spec, std::uint64_t)
 {
     cfg.scheme = spec.kind;
-    cfg.refPostpone = spec.refPostpone;
 }
 
 void
@@ -63,8 +62,7 @@ configureHira(SystemConfig &cfg, const SchemeSpec &spec, std::uint64_t seed)
     // machinery even when periodic refresh stays conventional).
     cfg.scheme = SchemeKind::HiraMc;
     cfg.hira.slackN = spec.slackN;
-    cfg.hira.periodicViaHira =
-        spec.kind == SchemeKind::HiraMc && spec.periodicViaHira;
+    cfg.hira.periodicViaHira = spec.kind == SchemeKind::HiraMc;
     cfg.hira.enableAccessPairing = spec.accessPairing;
     cfg.hira.enableRefreshPairing = spec.refreshPairing;
     cfg.hira.enablePullAhead = spec.pullAhead;

@@ -71,7 +71,6 @@ struct SystemConfig
      */
     std::string standard = "ddr4_2400";
     SchemeKind scheme = SchemeKind::Baseline;
-    int refPostpone = 0;        //!< Baseline: max postponed REFs [161]
     HiraMcConfig hira;          //!< used when scheme == HiraMc
     RfmConfig rfm;              //!< used when scheme == Rfm
     PracConfig prac;            //!< used when scheme == Prac

@@ -10,11 +10,11 @@ namespace hira {
 namespace {
 
 /**
- * Strip a trailing "?loop" / "?once" option from @p arg (the spec with
- * the scheme prefix removed) into @p opts; fatal on unknown options.
+ * Strip a trailing "?once" option from @p arg (the spec with the scheme
+ * prefix removed) into @p opts; fatal on unknown options.
  */
 std::string
-stripLoopOption(const std::string &arg, const char *scheme,
+stripOnceOption(const std::string &arg, const char *scheme,
                 FileTraceOptions &opts)
 {
     std::string rest = arg;
@@ -22,33 +22,30 @@ stripLoopOption(const std::string &arg, const char *scheme,
     if (q != std::string::npos) {
         std::string opt = rest.substr(q + 1);
         rest.erase(q);
-        if (opt == "once")
-            opts.loop = false;
-        else if (opt == "loop")
-            opts.loop = true;
-        else {
+        if (opt != "once") {
             fatal("unknown trace option '?%s' in '%s:%s' "
-                  "(supported: ?loop, ?once)",
+                  "(supported: ?once)",
                   opt.c_str(), scheme, arg.c_str());
         }
+        opts.loop = false;
     }
     return rest;
 }
 
-/** "file:<path>[?loop|?once]" -> FileTraceSource. */
+/** "file:<path>[?once]" -> FileTraceSource. */
 std::unique_ptr<TraceSource>
 makeFileSource(const std::string &arg, std::uint64_t /*seed*/, Addr base,
                Addr slice_bytes)
 {
     FileTraceOptions opts;
-    std::string path = stripLoopOption(arg, "file", opts);
+    std::string path = stripOnceOption(arg, "file", opts);
     if (path.empty())
         fatal("empty path in workload spec 'file:%s'", arg.c_str());
     return std::make_unique<FileTraceSource>(path, base, slice_bytes, opts);
 }
 
 /**
- * "corpus:<name>[?loop|?once]" -> FileTraceSource of the named trace
+ * "corpus:<name>[?once]" -> FileTraceSource of the named trace
  * in the active corpus (HIRA_CORPUS / Corpus::setActive).
  */
 std::unique_ptr<TraceSource>
@@ -56,7 +53,7 @@ makeCorpusSource(const std::string &arg, std::uint64_t /*seed*/, Addr base,
                  Addr slice_bytes)
 {
     FileTraceOptions opts;
-    std::string name = stripLoopOption(arg, "corpus", opts);
+    std::string name = stripOnceOption(arg, "corpus", opts);
     if (name.empty())
         fatal("empty trace name in workload spec 'corpus:%s'", arg.c_str());
     std::shared_ptr<const Corpus> corpus =

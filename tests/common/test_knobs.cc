@@ -15,20 +15,12 @@ TEST(Knobs, FallbackWhenUnset)
 {
     unsetenv("HIRA_TEST_KNOB");
     EXPECT_EQ(envKnob("HIRA_TEST_KNOB", 42), 42);
-    EXPECT_DOUBLE_EQ(envKnobDouble("HIRA_TEST_KNOB", 1.5), 1.5);
 }
 
 TEST(Knobs, ParsesInteger)
 {
     setenv("HIRA_TEST_KNOB", "1234", 1);
     EXPECT_EQ(envKnob("HIRA_TEST_KNOB", 0), 1234);
-    unsetenv("HIRA_TEST_KNOB");
-}
-
-TEST(Knobs, ParsesDouble)
-{
-    setenv("HIRA_TEST_KNOB", "0.25", 1);
-    EXPECT_DOUBLE_EQ(envKnobDouble("HIRA_TEST_KNOB", 0.0), 0.25);
     unsetenv("HIRA_TEST_KNOB");
 }
 

@@ -6,31 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "common/mathutil.hh"
 
 using namespace hira;
-
-TEST(MathUtil, LogAddExpBasic)
-{
-    double r = logAddExp(std::log(2.0), std::log(3.0));
-    EXPECT_NEAR(r, std::log(5.0), 1e-12);
-}
-
-TEST(MathUtil, LogAddExpHandlesNegInfinity)
-{
-    double ninf = -std::numeric_limits<double>::infinity();
-    EXPECT_DOUBLE_EQ(logAddExp(ninf, 1.0), 1.0);
-    EXPECT_DOUBLE_EQ(logAddExp(1.0, ninf), 1.0);
-    EXPECT_DOUBLE_EQ(logAddExp(ninf, ninf), ninf);
-}
-
-TEST(MathUtil, LogAddExpExtremeMagnitudes)
-{
-    // exp(-1000) + exp(-2000) == exp(-1000) to double precision.
-    EXPECT_NEAR(logAddExp(-1000.0, -2000.0), -1000.0, 1e-12);
-}
 
 TEST(MathUtil, GeometricSumMatchesDirect)
 {
@@ -50,18 +29,4 @@ TEST(MathUtil, GeometricSumLargeN)
     double inf_sum = 1.0 / (1.0 - r);
     EXPECT_NEAR(logGeometricSum(std::log(r), 1u << 20), std::log(inf_sum),
                 1e-9);
-}
-
-TEST(MathUtil, CeilDiv)
-{
-    EXPECT_EQ(ceilDiv<std::uint64_t>(10, 5), 2u);
-    EXPECT_EQ(ceilDiv<std::uint64_t>(11, 5), 3u);
-    EXPECT_EQ(ceilDiv<std::uint64_t>(1, 5), 1u);
-}
-
-TEST(MathUtil, ApproxEqual)
-{
-    EXPECT_TRUE(approxEqual(1.0, 1.0 + 1e-12, 1e-9));
-    EXPECT_FALSE(approxEqual(1.0, 1.1, 1e-3));
-    EXPECT_TRUE(approxEqual(1e9, 1e9 + 10, 1e-7));
 }

@@ -90,7 +90,6 @@ TEST(MetricRegistry, OffRegistersNothing)
 {
     MetricRegistry reg(MetricsLevel::Off);
     EXPECT_EQ(reg.counter("a"), nullptr);
-    EXPECT_EQ(reg.gauge("b"), nullptr);
     EXPECT_EQ(reg.histogram("c", 0.0, 1.0, 4), nullptr);
     EXPECT_TRUE(reg.snapshot().empty());
 }
@@ -99,7 +98,6 @@ TEST(MetricRegistry, CountersLevelWithholdsHistograms)
 {
     MetricRegistry reg(MetricsLevel::Counters);
     EXPECT_NE(reg.counter("a"), nullptr);
-    EXPECT_NE(reg.gauge("b"), nullptr);
     EXPECT_EQ(reg.histogram("c", 0.0, 1.0, 4), nullptr);
 }
 
@@ -107,7 +105,6 @@ TEST(MetricRegistry, FullRegistersEverything)
 {
     MetricRegistry reg(MetricsLevel::Full);
     EXPECT_NE(reg.counter("a"), nullptr);
-    EXPECT_NE(reg.gauge("b"), nullptr);
     EXPECT_NE(reg.histogram("c", 0.0, 1.0, 4), nullptr);
 }
 
@@ -127,16 +124,12 @@ TEST(MetricRegistry, HotPathHelpersAreNullSafe)
     // The disabled fast path: every helper must accept nullptr.
     count(static_cast<Counter *>(nullptr));
     count(static_cast<Counter *>(nullptr), 42);
-    setGauge(nullptr, 1.5);
     observe(nullptr, 3.0);
 
     Counter c;
     count(&c);
     count(&c, 4);
     EXPECT_EQ(c.value, 5u);
-    Gauge g;
-    setGauge(&g, 2.5);
-    EXPECT_DOUBLE_EQ(g.value, 2.5);
 }
 
 TEST(MetricScope, PrefixComposition)
@@ -161,7 +154,6 @@ TEST(MetricScope, DefaultConstructedIsDisabled)
     MetricScope scope;
     EXPECT_EQ(scope.registry(), nullptr);
     EXPECT_EQ(scope.counter("a"), nullptr);
-    EXPECT_EQ(scope.gauge("b"), nullptr);
     EXPECT_EQ(scope.histogram("c", 0.0, 1.0, 2), nullptr);
     // sub() of a null scope stays null instead of crashing.
     EXPECT_EQ(scope.sub("x").counter("y"), nullptr);
@@ -188,11 +180,10 @@ namespace {
 
 /** A registry with one of each metric kind, pre-loaded with values. */
 MetricsSnapshot
-sampleSnapshot(std::uint64_t c, double g, std::initializer_list<double> obs)
+sampleSnapshot(std::uint64_t c, std::initializer_list<double> obs)
 {
     MetricRegistry reg(MetricsLevel::Full);
     count(reg.counter("n.counter"), c);
-    setGauge(reg.gauge("n.gauge"), g);
     HistogramMetric *h = reg.histogram("n.hist", 0.0, 4.0, 4);
     for (double x : obs)
         observe(h, x);
@@ -203,16 +194,12 @@ sampleSnapshot(std::uint64_t c, double g, std::initializer_list<double> obs)
 
 TEST(MetricsSnapshot, CapturesAllKinds)
 {
-    MetricsSnapshot snap = sampleSnapshot(5, 1.25, {0.5, 2.5});
-    ASSERT_EQ(snap.values.size(), 3u);
+    MetricsSnapshot snap = sampleSnapshot(5, {0.5, 2.5});
+    ASSERT_EQ(snap.values.size(), 2u);
 
     const MetricValue &c = snap.values.at("n.counter");
     EXPECT_EQ(c.kind, MetricValue::Kind::Counter);
     EXPECT_EQ(c.count, 5u);
-
-    const MetricValue &g = snap.values.at("n.gauge");
-    EXPECT_EQ(g.kind, MetricValue::Kind::Gauge);
-    EXPECT_DOUBLE_EQ(g.value, 1.25);
 
     const MetricValue &h = snap.values.at("n.hist");
     EXPECT_EQ(h.kind, MetricValue::Kind::Histogram);
@@ -228,13 +215,11 @@ TEST(MetricsSnapshot, CapturesAllKinds)
 TEST(MetricsSnapshot, DiffScopesToInterval)
 {
     // The runOne() protocol: snapshot after warmup, diff at the end.
-    MetricsSnapshot base = sampleSnapshot(3, 0.5, {0.5});
-    MetricsSnapshot end = sampleSnapshot(10, 2.0, {0.5, 1.5, 3.5});
+    MetricsSnapshot base = sampleSnapshot(3, {0.5});
+    MetricsSnapshot end = sampleSnapshot(10, {0.5, 1.5, 3.5});
     MetricsSnapshot d = end.diff(base);
 
     EXPECT_EQ(d.values.at("n.counter").count, 7u);
-    // Gauges are point-in-time: diff keeps the newer value.
-    EXPECT_DOUBLE_EQ(d.values.at("n.gauge").value, 2.0);
     const MetricValue &h = d.values.at("n.hist");
     EXPECT_EQ(h.count, 2u);
     EXPECT_DOUBLE_EQ(h.value, 5.0);
@@ -246,7 +231,7 @@ TEST(MetricsSnapshot, DiffScopesToInterval)
 TEST(MetricsSnapshot, DiffKeepsNamesMissingFromBase)
 {
     MetricsSnapshot base;
-    MetricsSnapshot end = sampleSnapshot(4, 1.0, {});
+    MetricsSnapshot end = sampleSnapshot(4, {});
     MetricsSnapshot d = end.diff(base);
     EXPECT_EQ(d.values.at("n.counter").count, 4u);
 }
@@ -254,13 +239,11 @@ TEST(MetricsSnapshot, DiffKeepsNamesMissingFromBase)
 TEST(MetricsSnapshot, MergeAccumulates)
 {
     // The runPoints() reduction: per-mix runs merge into the point.
-    MetricsSnapshot a = sampleSnapshot(3, 1.0, {0.5});
-    MetricsSnapshot b = sampleSnapshot(5, 2.0, {0.5, 2.5});
+    MetricsSnapshot a = sampleSnapshot(3, {0.5});
+    MetricsSnapshot b = sampleSnapshot(5, {0.5, 2.5});
     a.merge(b);
 
     EXPECT_EQ(a.values.at("n.counter").count, 8u);
-    // Gauges add under merge (documented: publish additive quantities).
-    EXPECT_DOUBLE_EQ(a.values.at("n.gauge").value, 3.0);
     const MetricValue &h = a.values.at("n.hist");
     EXPECT_EQ(h.count, 3u);
     EXPECT_EQ(h.bins[0], 2u);
@@ -270,9 +253,9 @@ TEST(MetricsSnapshot, MergeAccumulates)
 TEST(MetricsSnapshot, MergeIntoEmptyAdoptsOther)
 {
     MetricsSnapshot a;
-    MetricsSnapshot b = sampleSnapshot(2, 0.5, {1.5});
+    MetricsSnapshot b = sampleSnapshot(2, {1.5});
     a.merge(b);
-    EXPECT_EQ(a.values.size(), 3u);
+    EXPECT_EQ(a.values.size(), 2u);
     EXPECT_EQ(a.values.at("n.counter").count, 2u);
 }
 
@@ -280,8 +263,8 @@ TEST(MetricsSnapshot, DiffThenMergeRoundTrip)
 {
     // merge(diff(end, base), base-interval) must reconstruct end for
     // the monotone kinds — the algebra aggregation relies on.
-    MetricsSnapshot base = sampleSnapshot(3, 0.5, {0.5});
-    MetricsSnapshot end = sampleSnapshot(10, 2.0, {0.5, 1.5, 3.5});
+    MetricsSnapshot base = sampleSnapshot(3, {0.5});
+    MetricsSnapshot end = sampleSnapshot(10, {0.5, 1.5, 3.5});
     MetricsSnapshot d = end.diff(base);
     MetricsSnapshot rebuilt = base;
     rebuilt.merge(d);
@@ -300,7 +283,7 @@ TEST(MetricsSnapshotDeathTest, MergeRejectsKindMismatch)
     MetricsSnapshot a = ra.snapshot();
 
     MetricRegistry rb(MetricsLevel::Full);
-    setGauge(rb.gauge("x"), 1.0);
+    rb.histogram("x", 0.0, 4.0, 4);
     MetricsSnapshot b = rb.snapshot();
 
     EXPECT_DEATH(a.merge(b), "assertion failed");
@@ -324,7 +307,7 @@ TEST(MetricRegistry, SnapshotIterationIsSorted)
     MetricRegistry reg(MetricsLevel::Counters);
     reg.counter("z.last");
     reg.counter("a.first");
-    reg.gauge("m.middle");
+    reg.counter("m.middle");
     MetricsSnapshot snap = reg.snapshot();
     std::string prev;
     for (const auto &kv : snap.values) {

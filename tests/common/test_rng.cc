@@ -94,32 +94,6 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
-TEST(Rng, GaussianMoments)
-{
-    Rng r(12);
-    double sum = 0.0, ss = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        double g = r.gaussian();
-        sum += g;
-        ss += g * g;
-    }
-    double mean = sum / n;
-    double var = ss / n - mean * mean;
-    EXPECT_NEAR(mean, 0.0, 0.02);
-    EXPECT_NEAR(var, 1.0, 0.05);
-}
-
-TEST(Rng, GaussianScaled)
-{
-    Rng r(13);
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += r.gaussian(5.0, 2.0);
-    EXPECT_NEAR(sum / n, 5.0, 0.1);
-}
-
 TEST(HashRandom, DeterministicAndOrderIndependent)
 {
     double a = hashUniform(42, 7, 9, 3);

@@ -105,16 +105,6 @@ TEST(ExperimentSpec, PreventiveViaHiraUsesSlackAdjustedPth)
     EXPECT_FALSE(cfg.para.enabled);
 }
 
-TEST(ExperimentSpec, ElasticPostponeWiring)
-{
-    GeomSpec g;
-    SchemeSpec s;
-    s.kind = SchemeKind::Baseline;
-    s.refPostpone = 8;
-    SystemConfig cfg = makeSystemConfig(g, s, {"gcc-like"}, 1);
-    EXPECT_EQ(cfg.refPostpone, 8);
-}
-
 TEST(ExperimentSpec, AblationSwitchesWiring)
 {
     GeomSpec g;
@@ -220,12 +210,6 @@ TEST(ExperimentSpec, SeedKeySeparatesPointsThatShareALabel)
     d.accessPairing = false; // ablation switch, label unchanged
     EXPECT_EQ(a.label(), d.label());
     EXPECT_NE(a.seedKey(), d.seedKey());
-
-    SchemeSpec e;
-    SchemeSpec f;
-    f.refPostpone = 8; // elastic postponement, label unchanged
-    EXPECT_EQ(e.label(), f.label());
-    EXPECT_NE(e.seedKey(), f.seedKey());
 }
 
 TEST(ExperimentSpec, SeedKeySeparatesZooKnobs)

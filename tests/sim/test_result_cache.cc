@@ -87,10 +87,6 @@ class ResultCacheTest : public ::testing::Test
         c.kind = MetricValue::Kind::Counter;
         c.count = 42;
         r.metrics.values["ctrl0.reads"] = c;
-        MetricValue g;
-        g.kind = MetricValue::Kind::Gauge;
-        g.value = 0.1 + 0.2; // 0.30000000000000004
-        r.metrics.values["ctrl0.util"] = g;
         MetricValue h;
         h.kind = MetricValue::Kind::Histogram;
         h.count = 9;

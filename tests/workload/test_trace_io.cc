@@ -360,6 +360,18 @@ TEST_F(TraceIoTest, UnknownSchemeIsFatal)
                 ::testing::ExitedWithCode(1), "unknown workload scheme");
 }
 
+TEST_F(TraceIoTest, UnknownTraceOptionIsFatal)
+{
+    // "?once" is the only option: anything else must not parse into a
+    // distinct spec (and result-cache key) that replays like the plain
+    // looping one.
+    std::string p = writeFile("opt.trace", "0 R 40\n");
+    EXPECT_EXIT(WorkloadRegistry::global().makeSource(
+                    "file:" + p + "?rewind", 0, 0, kSlice),
+                ::testing::ExitedWithCode(1),
+                "unknown trace option '\\?rewind'.*supported: \\?once");
+}
+
 TEST_F(TraceIoTest, RecorderSplitsLongComputeRuns)
 {
     // A synthetic source that never accesses memory: the recorder must

@@ -22,7 +22,9 @@ different machines with timing-derived values; the structural checks
 Exits 0 when the sections match. Exits 1 otherwise, with a full diff
 listing on stderr and a final "first divergence:" line naming the
 first differing section, row, and column — the thing to paste into a
-bug report.
+bug report. Also exits 1 when neither artifact has a section: two
+empty blocks match without comparing anything, so such a check would
+pass vacuously.
 """
 
 import argparse
@@ -67,6 +69,10 @@ def main(argv):
     opts = parser.parse_args(argv[1:])
     a_path, b_path = opts.a, opts.b
     a, b = load_sections(a_path), load_sections(b_path)
+    if not a and not b:
+        print(f"no sections in {a_path} or {b_path}: nothing to compare",
+              file=sys.stderr)
+        return 1
 
     errors = []
     # (section label, row label, column label) of the first differing
